@@ -4,7 +4,10 @@
 // predictors in the paper's Table I, plus a branch target buffer.
 package branch
 
-import "paraverser/internal/isa"
+import (
+	"paraverser/internal/freelist"
+	"paraverser/internal/isa"
+)
 
 // Predictor predicts conditional branch directions and learns from
 // outcomes.
@@ -101,6 +104,15 @@ func NewDefaultTAGE() *TAGE { return NewTAGE(13, []uint{4, 8, 16, 32, 64}) }
 
 // NewSmallTAGE returns the configuration used for little cores (8KiB).
 func NewSmallTAGE() *TAGE { return NewTAGE(9, []uint{4, 8, 16}) }
+
+// reset returns the predictor to its freshly built state.
+func (t *TAGE) reset() {
+	clear(t.base.table)
+	for _, c := range t.comps {
+		clear(c)
+	}
+	t.history = 0
+}
 
 func (t *TAGE) index(pc uint64, comp int) uint64 {
 	h := t.history & (1<<t.hlens[comp] - 1)
@@ -212,6 +224,12 @@ func (b *BTB) Update(pc, target uint64) {
 	b.targets[i] = target
 }
 
+// reset empties the buffer.
+func (b *BTB) reset() {
+	clear(b.tags)
+	clear(b.targets)
+}
+
 // Stats accumulates prediction accuracy for reporting.
 type Stats struct {
 	Lookups     uint64
@@ -233,11 +251,61 @@ type Unit struct {
 	Dir   Predictor
 	BTB   *BTB
 	Stats Stats
+
+	// recycle marks a NewTAGEUnit unit, whose tables Release returns to
+	// the free list under big; NewUnit units are not recycled.
+	recycle, big bool
 }
 
 // NewUnit returns a branch unit around the given direction predictor.
 func NewUnit(dir Predictor, btbLog uint) *Unit {
 	return &Unit{Dir: dir, BTB: NewBTB(btbLog)}
+}
+
+// tables is a released TAGE unit's recyclable state.
+type tables struct {
+	dir *TAGE
+	btb *BTB
+}
+
+// free holds released predictor tables, keyed by big. The big unit's
+// tables are about 300 KB, so reuse saves an allocation and a zeroing
+// pass per run; a reset is a clear, cheap at these sizes.
+var free = freelist.New[bool, tables](8)
+
+// NewTAGEUnit returns the branch unit of a shipped core size: big
+// (NewDefaultTAGE and an 8K-entry BTB) or little (NewSmallTAGE and a
+// 2K-entry BTB). It recycles the tables of a released unit of the same
+// size when one is available; a recycled unit predicts exactly like a
+// fresh one.
+func NewTAGEUnit(big bool) *Unit {
+	u := &Unit{recycle: true, big: big}
+	if t, ok := free.Get(big); ok {
+		t.dir.reset()
+		t.btb.reset()
+		u.Dir, u.BTB = t.dir, t.btb
+		return u
+	}
+	if big {
+		u.Dir, u.BTB = NewDefaultTAGE(), NewBTB(13)
+	} else {
+		u.Dir, u.BTB = NewSmallTAGE(), NewBTB(11)
+	}
+	return u
+}
+
+// Release returns a NewTAGEUnit unit's tables to the free list. The
+// unit must not be used afterwards: its predictor and BTB are gone, so
+// any use panics instead of sharing tables with the next owner.
+// Releasing twice is a no-op.
+func (u *Unit) Release() {
+	if u.BTB == nil {
+		return
+	}
+	if u.recycle {
+		free.Put(u.big, tables{dir: u.Dir.(*TAGE), btb: u.BTB})
+	}
+	u.Dir, u.BTB = nil, nil
 }
 
 // Resolve predicts and then trains on the branch at pc with actual

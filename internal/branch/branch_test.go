@@ -172,3 +172,60 @@ func TestMispredictRate(t *testing.T) {
 		t.Errorf("rate = %v, want 0.07", got)
 	}
 }
+
+// TestRecycledUnitMatchesFresh: a sized unit drawn from the free list
+// after an earlier owner trained it must predict exactly like a fresh
+// one, and a released unit must panic on use.
+func TestRecycledUnitMatchesFresh(t *testing.T) {
+	trace := func(u *Unit, seed uint64) string {
+		var b []byte
+		x := seed
+		for i := 0; i < 20000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			pc := (x >> 33) % 512
+			op := isa.OpBEQ
+			switch x >> 60 {
+			case 0:
+				op = isa.OpJALR
+			case 1:
+				op = isa.OpJAL
+			}
+			ok := u.Resolve(op, pc, x>>62 != 0, pc+(x>>40)%8)
+			b = append(b, byte('0'+btoi(ok)))
+		}
+		return string(b)
+	}
+	for _, big := range []bool{false, true} {
+		fresh := NewTAGEUnit(big)
+		want := trace(fresh, 1)
+		trace(fresh, 99) // dirty every table
+		dir := fresh.Dir
+		fresh.Release()
+		u := NewTAGEUnit(big)
+		if u.Dir != dir {
+			t.Fatalf("big=%v: NewTAGEUnit did not recycle the released tables", big)
+		}
+		if got := trace(u, 1); got != want {
+			t.Fatalf("big=%v: recycled unit predicts differently from a fresh one", big)
+		}
+		if u.Stats.Lookups != 20000 {
+			t.Fatalf("big=%v: recycled unit kept stale statistics: %+v", big, u.Stats)
+		}
+		u.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("big=%v: Resolve after Release did not panic", big)
+				}
+			}()
+			u.Resolve(isa.OpBEQ, 4, true, 8)
+		}()
+	}
+}
+
+func btoi(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}

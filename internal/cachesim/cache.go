@@ -8,6 +8,8 @@ package cachesim
 import (
 	"fmt"
 	"math/bits"
+
+	"paraverser/internal/freelist"
 )
 
 // Config describes one cache.
@@ -80,13 +82,22 @@ const (
 )
 
 // Cache is one set-associative cache. The zero value is not usable; use
-// New.
+// New, and Release when done so the next New of the same geometry
+// recycles the line arrays.
 type Cache struct {
 	cfg Config
 	// ways holds every line, set-contiguous: set s occupies
 	// ways[s*Ways : (s+1)*Ways]. A flat slice saves the per-access
 	// pointer chase of a slice-of-slices.
-	ways     []way
+	ways []way
+	// stamp[s] is the epoch in which set s was last made current. A set
+	// whose stamp differs from epoch still holds an earlier owner's
+	// lines: it reads as empty, and the first access that touches it
+	// zeroes it and stamps it current. Recycling a cache is therefore
+	// epoch++, not a clear of the whole way array — a run pays for the
+	// sets it touches, not for the capacity the cache models.
+	stamp    []uint32
+	epoch    uint32
 	lruClock uint32
 	Stats    Stats
 
@@ -105,14 +116,30 @@ type Cache struct {
 	logEnd int
 }
 
-// New builds a cache from cfg.
+// geometry keys the free list: the line arrays depend on nothing else.
+type geometry struct{ lines, ways int }
+
+// lineArrays is a released cache's recyclable state.
+type lineArrays struct {
+	ways  []way
+	stamp []uint32
+	epoch uint32
+}
+
+// free holds released line arrays per geometry. A handful per key
+// covers every cache of a few concurrent runs; the rest go to the
+// collector.
+var free = freelist.New[geometry, lineArrays](8)
+
+// New builds a cache from cfg, recycling the line arrays of a released
+// cache of the same geometry when one is available. A recycled cache is
+// indistinguishable from a freshly allocated one.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Cache{
 		cfg:       cfg,
-		ways:      make([]way, cfg.Lines()),
 		lineShift: -1,
 		setMask:   uint64(cfg.Sets() - 1),
 		setShift:  uint32(bits.TrailingZeros(uint(cfg.Sets()))),
@@ -122,7 +149,43 @@ func New(cfg Config) (*Cache, error) {
 	if lb := cfg.LineBytes; lb&(lb-1) == 0 {
 		c.lineShift = int32(bits.TrailingZeros(uint(lb)))
 	}
+	if a, ok := free.Get(c.geometry()); ok {
+		c.ways, c.stamp, c.epoch = a.ways, a.stamp, a.epoch
+		c.nextEpoch()
+	} else {
+		// Fresh arrays: every stamp (0) differs from epoch 1, so all sets
+		// start stale, exactly like a recycled cache.
+		c.ways = make([]way, cfg.Lines())
+		c.stamp = make([]uint32, c.nsets)
+		c.epoch = 1
+	}
 	return c, nil
+}
+
+func (c *Cache) geometry() geometry { return geometry{c.cfg.Lines(), c.nways} }
+
+// nextEpoch makes every set stale. On the (once per 2^32 recycles)
+// wrap-around the stamps could alias a live epoch, so the arrays are
+// cleared outright instead.
+func (c *Cache) nextEpoch() {
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.ways)
+		clear(c.stamp)
+		c.epoch = 1
+	}
+}
+
+// Release returns the cache's line arrays to the free list for the next
+// New of the same geometry. The cache must not be used afterwards: its
+// arrays are gone, so any access panics instead of silently sharing
+// state with the cache's next owner. Releasing twice is a no-op.
+func (c *Cache) Release() {
+	if c.ways == nil {
+		return
+	}
+	free.Put(c.geometry(), lineArrays{ways: c.ways, stamp: c.stamp, epoch: c.epoch})
+	c.ways, c.stamp = nil, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
@@ -150,10 +213,21 @@ func (c *Cache) setIndex(addr uint64) uint64 { return c.lineOf(addr) & c.setMask
 
 func (c *Cache) tagOf(addr uint64) uint64 { return c.lineOf(addr) >> c.setShift }
 
-// set returns the ways of addr's set.
+// set returns the ways of addr's set, making the set current first.
 func (c *Cache) set(addr uint64) []way {
-	base := int(c.setIndex(addr)) * c.nways
-	return c.ways[base : base+c.nways]
+	return c.setAt(int(c.setIndex(addr)))
+}
+
+// setAt returns the ways of set si, zeroing them first when the set is
+// stale (its lines belong to an earlier epoch).
+func (c *Cache) setAt(si int) []way {
+	base := si * c.nways
+	set := c.ways[base : base+c.nways]
+	if c.stamp[si] != c.epoch {
+		clear(set)
+		c.stamp[si] = c.epoch
+	}
+	return set
 }
 
 // Access looks up addr, allocating on miss (write-allocate). It returns
@@ -178,9 +252,13 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// Probe looks up addr without side effects.
+// Probe looks up addr without side effects. A stale set is empty.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.set(addr)
+	si := int(c.setIndex(addr))
+	if c.stamp[si] != c.epoch {
+		return false
+	}
+	set := c.ways[si*c.nways : (si+1)*c.nways]
 	want := c.tagOf(addr)<<2 | wayValid
 	for i := range set {
 		if set[i].key == want {
@@ -221,9 +299,15 @@ func (c *Cache) fill(set []way, want uint64, write bool) {
 // InvalidateAll drops every non-log line (e.g. when a core is handed to a
 // different process).
 func (c *Cache) InvalidateAll() {
-	for i := range c.ways {
-		if c.ways[i].key&wayLog == 0 {
-			c.ways[i] = way{}
+	for si, st := range c.stamp {
+		if st != c.epoch {
+			continue // stale sets are already empty
+		}
+		set := c.ways[si*c.nways : (si+1)*c.nways]
+		for i := range set {
+			if set[i].key&wayLog == 0 {
+				set[i] = way{}
+			}
 		}
 	}
 }
@@ -244,7 +328,7 @@ func (c *Cache) LogAppendLine() bool {
 	if c.logEnd >= len(c.ways) {
 		return false
 	}
-	w := &c.ways[(c.logEnd%c.nsets)*c.nways+c.logEnd/c.nsets]
+	w := &c.setAt(c.logEnd % c.nsets)[c.logEnd/c.nsets]
 	if w.key&(wayValid|wayLog) == wayValid {
 		c.Stats.LogEvictions++
 		if w.dirty {

@@ -183,7 +183,7 @@ func (p *pendingCheck) run(s *System) {
 		cu := p.specCur
 		if s.blockExec {
 			if ck.scratch.batch == nil {
-				ck.scratch.batch = make([]emu.Effect, effectBatchSize)
+				ck.scratch.batch = newEffectBatch(effectBatchSize)
 			}
 			batch := ck.scratch.batch
 			for rem := p.seg.Insts; rem > 0; {
@@ -452,6 +452,6 @@ func (l *lane) takeArena() {
 		l.spareOps = l.spareOps[:n-1]
 		return
 	}
-	l.entries = make([]Entry, 0, 1024)
-	l.ops = make([]MemRec, 0, 1024)
+	a := newLogArena(laneLogEntries)
+	l.entries, l.ops = a.entries, a.ops
 }

@@ -260,6 +260,57 @@ func TestSpecReplayDivergenceFallsBack(t *testing.T) {
 	}
 }
 
+// TestSpecMicroTraceExhaustionFallsBack truncates a published micro
+// trace: a replay run drawing on it runs the trace dry mid-stream. That
+// must never crash the run — the main core raises its sticky exhaustion
+// flag, the lane turns it into ErrSpecDiverged at segment close, and
+// the Run wrapper reruns sequentially to the baseline result. The
+// broken stream (and its traces) must be evicted so the next run
+// re-records.
+func TestSpecMicroTraceExhaustionFallsBack(t *testing.T) {
+	prog := mixedProgram(12000)
+	ws := []Workload{{Name: "m0", Prog: prog, MaxInsts: 8000, WarmupInsts: 2000}}
+	cfg := DefaultConfig(a510Checkers(2, 2.0))
+	cfg.InterruptIntervalInsts = 500
+	base := runSpec(t, cfg, ws)
+
+	cache := NewSpecCache()
+	cfg.Spec = cache
+	if got := runSpec(t, cfg, ws); got != base {
+		t.Fatal("clean record run diverged from baseline")
+	}
+	if st := cache.Stats(); st.MicroRecorded != 1 {
+		t.Fatalf("recorded %d micro traces, want 1", st.MicroRecorded)
+	}
+	truncated := 0
+	for _, st := range cache.streams {
+		for geom, tr := range st.micro {
+			st.micro[geom] = tr.Prefix(tr.Len() / 2)
+			truncated++
+		}
+	}
+	if truncated != 1 {
+		t.Fatalf("truncated %d micro traces, want 1", truncated)
+	}
+
+	if got := runSpec(t, cfg, ws); got != base {
+		t.Fatal("replay over a truncated micro trace did not fall back to the sequential result")
+	}
+	st := cache.Stats()
+	if st.MicroReplayed != 1 || st.SpecAborts != 1 {
+		t.Errorf("micro replays %d, aborts %d; want 1 and 1", st.MicroReplayed, st.SpecAborts)
+	}
+	if len(cache.streams) != 0 {
+		t.Fatal("the stream with the broken micro trace was not evicted")
+	}
+	if got := runSpec(t, cfg, ws); got != base {
+		t.Fatal("post-eviction run diverged from baseline")
+	}
+	if after := cache.Stats().StreamsRecorded; after != st.StreamsRecorded+1 {
+		t.Errorf("evicted stream was not re-recorded (recorded %d -> %d)", st.StreamsRecorded, after)
+	}
+}
+
 // TestSpecRecordDivergenceInRunFallback forces a continuity failure on a
 // segment that carries a machine snapshot during a recording run: the
 // lane must rewind to the committed boundary and continue on the legacy

@@ -306,19 +306,20 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The log buffers are pre-sized for a typical segment so early
+	// segments don't grow them incrementally.
+	arena := newLogArena(laneLogEntries)
 	l := &lane{
-		idx:  idx,
-		name: p.w.Name,
-		proc: p,
-		hart: hart,
-		main: mainCore,
-		pos:  s.layout.Main(idx % len(s.layout.MainPos)),
-		lspu: NewLSPU(s.cfg.HashMode),
-		rcu:  NewRCU(s.cfg.HashMode),
-		// Pre-size the log buffers for a typical segment so early
-		// segments don't grow them incrementally.
-		entries: make([]Entry, 0, 1024),
-		ops:     make([]MemRec, 0, 1024),
+		idx:     idx,
+		name:    p.w.Name,
+		proc:    p,
+		hart:    hart,
+		main:    mainCore,
+		pos:     s.layout.Main(idx % len(s.layout.MainPos)),
+		lspu:    NewLSPU(s.cfg.HashMode),
+		rcu:     NewRCU(s.cfg.HashMode),
+		entries: arena.entries,
+		ops:     arena.ops,
 	}
 	l.res = LaneResult{
 		Name: p.w.Name, Hart: hart, FirstDetectionInst: -1,
@@ -329,7 +330,7 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 		l.div = newDivState(p.plan)
 	}
 	if s.blockExec {
-		l.batch = make([]emu.Effect, effectBatchSize)
+		l.batch = newEffectBatch(effectBatchSize)
 	}
 
 	if len(s.cfg.Checkers) > 0 {
@@ -373,10 +374,8 @@ func (s *System) newLane(idx int, p *process, hart int) (*lane, error) {
 		if s.cfg.ResolvedStrategy() == StrategyChunkReplay {
 			// Pre-size the chunk arenas for one full chunk of typical
 			// segments so accumulation rarely grows them.
-			l.chunk = &chunkState{
-				entries: make([]Entry, 0, defaultChunkSegments*1024),
-				ops:     make([]MemRec, 0, defaultChunkSegments*1024),
-			}
+			a := newLogArena(chunkLogEntries)
+			l.chunk = &chunkState{entries: a.entries, ops: a.ops}
 		}
 	}
 	return l, nil
@@ -546,6 +545,14 @@ func (s *System) runSegment(l *lane) error {
 		reason = s.accountEffect(l, &eff, budget, resumeAtNS)
 	}
 
+	if sp != nil && l.main.MicroExhausted() {
+		// The replayed micro trace ran out mid-stream: it cannot be a
+		// recording of this stream on this geometry, and the main core's
+		// timing since then is not the recorded core's. Degrade like any
+		// divergence (evict the stream with its traces, rerun
+		// sequentially) instead of crashing the run.
+		return s.specDiverged(l, nil)
+	}
 	if sp != nil && reason == BoundaryHalt {
 		// The whole recorded stream has been stitched; collection may
 		// publish a micro trace recorded over this replay.
@@ -1081,6 +1088,11 @@ func (s *System) traceCheck(l *lane, ck *Checker, seg *Segment, startNS, durNS f
 // system is rebuilt and rerun sequentially without speculation — the
 // continuity check turns any speculation defect into wall-clock cost,
 // never a result difference.
+//
+// Run owns the system it builds: after a successful run it releases the
+// system's cores, caches and arenas to their free lists (System.release),
+// so the next Run recycles them instead of allocating and zeroing the
+// modelled capacity again. A failed system is left to the collector.
 func Run(cfg Config, workloads []Workload) (*Result, error) {
 	s, err := NewSystem(cfg, workloads)
 	if err != nil {
@@ -1092,7 +1104,10 @@ func Run(cfg Config, workloads []Workload) (*Result, error) {
 		if s, err = NewSystem(cfg, workloads); err != nil {
 			return nil, err
 		}
-		return s.Run()
+		res, err = s.Run()
+	}
+	if err == nil {
+		s.release()
 	}
 	return res, err
 }

@@ -86,7 +86,7 @@ func (cs *CheckScratch) CheckSegment(prog *isa.Program, seg *Segment, hashMode b
 //paralint:hotpath
 func (cs *CheckScratch) CheckSegmentBlocks(prog *isa.Program, seg *Segment, hashMode bool, batchSink func([]emu.Effect)) CheckResult {
 	if cs.batch == nil {
-		cs.batch = make([]emu.Effect, effectBatchSize) //paralint:allow(one-time lazy buffer, reused across segments)
+		cs.batch = newEffectBatch(effectBatchSize) //paralint:allow(one-time lazy buffer, reused across segments)
 	}
 	cs.lsc.Mismatches = nil
 	cs.lsc.Compares = 0

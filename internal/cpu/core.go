@@ -80,6 +80,9 @@ type Core struct {
 	recTrace *MicroTrace
 	curTrace *MicroTrace
 	curPos   int
+	// microDry is set, and stays set, once a replayed trace ran out
+	// (see microNext); the owner checks it at its next consistency point.
+	microDry bool
 
 	insts  uint64
 	cycles float64 // commit time of the most recent instruction
@@ -144,11 +147,7 @@ func NewCore(cfg Config, freqGHz float64, mode Mode) (*Core, error) {
 			L1D: cachesim.MustNew(cfg.L1D),
 			L2:  cachesim.MustNew(cfg.L2),
 		},
-	}
-	if cfg.BigPredictor {
-		c.BP = branch.NewUnit(branch.NewDefaultTAGE(), 13)
-	} else {
-		c.BP = branch.NewUnit(branch.NewSmallTAGE(), 11)
+		BP: branch.NewTAGEUnit(cfg.BigPredictor),
 	}
 	for class, fu := range cfg.FUs {
 		c.fuN[class] = int32(fu.Count)
@@ -167,6 +166,25 @@ func NewCore(cfg Config, freqGHz float64, mode Mode) (*Core, error) {
 	c.sq = newRing(cfg.SQ)
 	c.mshr = newRing(cfg.L1D.MSHRs)
 	return c, nil
+}
+
+// Release returns the core's caches and predictor tables to their free
+// lists (cachesim.Cache.Release, branch.Unit.Release), so the next
+// NewCore of the same geometry recycles them instead of allocating and
+// zeroing megabytes of model state. It also detaches any micro-trace
+// hooks. The core must not be used afterwards: its hierarchy and
+// predictor are gone, so any use panics instead of silently sharing
+// state with their next owner. Releasing twice is a no-op.
+func (c *Core) Release() {
+	if c.Hier == nil {
+		return
+	}
+	c.Hier.L1I.Release()
+	c.Hier.L1D.Release()
+	c.Hier.L2.Release()
+	c.BP.Release()
+	c.Hier, c.BP = nil, nil
+	c.recTrace, c.curTrace, c.curPos = nil, nil, 0
 }
 
 // MustNewCore is NewCore for static configurations.

@@ -47,15 +47,32 @@ func (c *Core) SetMicroReplay(t *MicroTrace) { c.curTrace = t; c.curPos = 0 }
 
 // microNext pops the next recorded event. Exhaustion means the replayed
 // stream diverged from the recorded one, which the stream-eligibility
-// rules exclude; fail loudly rather than silently desynchronise timing.
+// rules exclude. It must not crash the run: the core sets its sticky
+// MicroExhausted flag and reports an L1 hit / correct prediction (an
+// outcome with no side effects), and the owner discards the run's
+// timing when it sees the flag at its next consistency point.
 func (c *Core) microNext() uint8 {
 	t := c.curTrace
 	if c.curPos >= len(t.events) {
-		panic("cpu: micro-trace exhausted (replayed stream diverged from recording)")
+		c.microDry = true
+		return 1
 	}
 	e := t.events[c.curPos]
 	c.curPos++
 	return e
+}
+
+// MicroExhausted reports whether a replayed micro trace ever ran out on
+// this core. Timing computed after that point is not the recorded
+// core's, so a caller seeing true must discard it (the core package
+// reruns the whole system without speculation).
+func (c *Core) MicroExhausted() bool { return c.microDry }
+
+// Prefix returns a copy of the trace's first n events (all of them when
+// n exceeds Len) — a truncated recording, for fallback tests.
+func (t *MicroTrace) Prefix(n int) *MicroTrace {
+	n = min(n, len(t.events))
+	return &MicroTrace{events: append([]uint8(nil), t.events[:n]...)}
 }
 
 // record appends one event byte.

@@ -115,12 +115,27 @@ var imageCache sync.Map // *isa.Program -> *MemSnapshot
 
 // Image returns the program's materialised initial memory as a shared
 // copy-on-write snapshot.
+//
+// The image aliases prog.Data instead of copying it: every whole 4 KiB
+// page of the (page-aligned) data segment is a view into the program's
+// own bytes, and only a partial tail page is copied. Snapshot pages are
+// read-only and copied on the first write, so no machine ever writes
+// through the alias, and the data segment is held in memory once rather
+// than twice.
 func Image(prog *isa.Program) *MemSnapshot {
 	if v, ok := imageCache.Load(prog); ok {
 		return v.(*MemSnapshot)
 	}
 	mem := NewMemory()
-	mem.WriteBytes(prog.DataBase, prog.Data)
+	base, data := prog.DataBase, prog.Data
+	if base&(pageSize-1) == 0 {
+		for len(data) >= pageSize {
+			mem.pages[base>>pageBits] = (*page)(data[:pageSize])
+			base += pageSize
+			data = data[pageSize:]
+		}
+	}
+	mem.WriteBytes(base, data)
 	snap := mem.Snapshot()
 	v, _ := imageCache.LoadOrStore(prog, snap)
 	return v.(*MemSnapshot)

@@ -1,8 +1,11 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"paraverser/internal/asm"
 	"paraverser/internal/isa"
 )
 
@@ -169,5 +172,61 @@ func TestMachineRestoreEnvCoherent(t *testing.T) {
 	}
 	if r2, _ := m.Env[0].Rand(); r2 != r1 {
 		t.Errorf("rng not restored: %d vs %d", r2, r1)
+	}
+}
+
+// TestImageAliasesProgramDataReadOnly: the shared program image aliases
+// the whole pages of prog.Data instead of copying them, and a run that
+// stores into those pages (and into the copied tail page) must leave
+// both prog.Data and a second machine's view untouched.
+func TestImageAliasesProgramDataReadOnly(t *testing.T) {
+	b := asm.New("image-alias")
+	pat := make([]byte, 2*pageSize+100)
+	for i := range pat {
+		pat[i] = byte(i*7 + 1)
+	}
+	b.Bytes(pat)
+	db := int64(isa.DefaultDataBase)
+	b.Li(5, db)
+	b.Li(6, 0x5555)
+	b.St(8, 6, 5, 8) // first whole page
+	b.Li(5, db+pageSize+24)
+	b.St(8, 6, 5, 0) // second whole page
+	b.Li(5, db+2*pageSize+16)
+	b.St(8, 6, 5, 0) // partial tail page
+	b.Halt()
+	prog := b.MustBuild()
+	orig := append([]byte(nil), prog.Data...)
+
+	img := Image(prog)
+	if got, want := img.pages[prog.DataBase>>pageBits], (*page)(prog.Data[:pageSize]); got != want {
+		t.Fatal("image copied a whole data page instead of aliasing prog.Data")
+	}
+	addrs := []uint64{prog.DataBase + 8, prog.DataBase + pageSize + 24, prog.DataBase + 2*pageSize + 16}
+	m1, err := NewMachineShared(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m1.Run(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
+		if got, _ := m1.Mem.Load(a, 8); got != 0x5555 {
+			t.Errorf("store at %#x lost: got %#x", a, got)
+		}
+	}
+	if !bytes.Equal(prog.Data, orig) {
+		t.Fatal("a run's stores reached prog.Data through the image")
+	}
+	m2, err := NewMachineShared(prog, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
+		off := a - prog.DataBase
+		want := binary.LittleEndian.Uint64(orig[off:])
+		if got, _ := m2.Mem.Load(a, 8); got != want {
+			t.Errorf("second machine sees %#x at %#x, want the initial %#x", got, a, want)
+		}
 	}
 }

@@ -10,9 +10,12 @@
 //
 // Concurrency safety: core.Run builds a private System — mesh, LLC,
 // DRAM model, per-lane cores and machines — per call, so concurrent
-// independent runs never share mutable state. The shared inputs are
-// read-only: *isa.Program (the emulator copies the data segment into a
-// fresh Memory per machine; instruction slices are never written),
+// independent runs never share mutable state (recycled caches, predictor
+// tables and arenas pass between runs only through core.Run's release
+// and mutex-guarded free lists, DESIGN.md §16). The shared inputs are
+// read-only: *isa.Program (machines see the data segment through
+// read-only copy-on-write pages aliasing it; instruction slices are
+// never written),
 // cpu.Config values (FU maps are only read), and *noc.Layout (only
 // read). The fault campaign engine (internal/fault) established this
 // fan-out pattern; the engine here extends it to every experiment.
