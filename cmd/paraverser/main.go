@@ -13,10 +13,10 @@
 // from -seed): every generated program must pass the abstract
 // interpreter's screening, then execute identically on the
 // per-instruction and block-compiled engines, under every checker
-// strategy, with and without time-sharded speculation, and verify
-// clean under divergent checking. Any disagreement exits 1 with a
-// minimized reproduction. Output is byte-identical at any -j or
-// -time-shards setting. Fuzz runs bypass the shared result cache.
+// strategy, with and without stream recording, and verify clean under
+// divergent checking. Any disagreement exits 1 with a minimized
+// reproduction. Output is byte-identical at any -j setting. Fuzz runs
+// bypass the shared result cache.
 //
 // Flags select the simulation scale; the default "full" scale runs each
 // benchmark for 250k measured instructions after a 150k-instruction
@@ -60,18 +60,6 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// defaultTimeShards picks the default speculation depth: deep enough to
-// keep a producer goroutine ahead of the timing stitch, but 1 (inline,
-// no producer goroutine, no fallback snapshots) when there is no spare
-// CPU to run the producer on — results are identical at any depth, so
-// the default only tunes wall clock.
-func defaultTimeShards() int {
-	if n := runtime.GOMAXPROCS(0); n < 2 {
-		return 1
-	}
-	return 4
-}
-
 func run(args []string) int {
 	if len(args) > 0 && args[0] == "metrics" {
 		return runMetricsCmd(args[1:])
@@ -89,8 +77,6 @@ func run(args []string) int {
 	fuzzInsts := fs.Int("fuzz-insts", 200, "per-program instruction target for the fuzz experiment")
 	workers := fs.Int("j", 0, "concurrent simulation runs (0 = GOMAXPROCS)")
 	checkWorkers := fs.Int("check-workers", 0, "concurrent checker verifications per run (<= 1 = inline; results are identical at any setting)")
-	timeShards := fs.Int("time-shards", defaultTimeShards(), "segments emulated speculatively ahead of each run's timing stitch (1 = inline; results are identical at any setting)")
-	blockExec := fs.Bool("block-exec", true, "run emulation and checker replay through the block-compiled engine (results are identical either way)")
 	strategy := fs.String("strategy", "auto", "checker verification strategy for full-coverage lockstep runs: auto, lockstep, chunk-replay, relaxed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -162,10 +148,6 @@ func run(args []string) int {
 	if *trials > 0 {
 		sc.FaultTrials = *trials
 	}
-	if *timeShards < 1 {
-		fmt.Fprintf(os.Stderr, "paraverser: -time-shards must be >= 1 (got %d)\n", *timeShards)
-		return 2
-	}
 	// Range checks for the remaining numeric knobs: a negative count has
 	// no meaning anywhere below (0 everywhere selects the default), so
 	// reject it up front with exit 2 rather than letting it reach an
@@ -212,8 +194,6 @@ func run(args []string) int {
 	}
 	experiments.SetWorkers(*workers)
 	experiments.SetCheckWorkers(*checkWorkers)
-	experiments.SetTimeShards(*timeShards)
-	experiments.SetBlockExec(*blockExec)
 	experiments.SetStrategy(st)
 
 	var trace *obs.Trace

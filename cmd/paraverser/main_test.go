@@ -27,25 +27,6 @@ func TestRunArgHandling(t *testing.T) {
 	}
 }
 
-// TestTimeShardsFlagValidation pins the -time-shards contract: zero,
-// negative and malformed values are usage errors (exit 2); valid depths
-// run to completion.
-func TestTimeShardsFlagValidation(t *testing.T) {
-	defer experiments.SetTimeShards(0)
-	for _, bad := range []string{"0", "-3", "two"} {
-		if code := run([]string{"-time-shards", bad, "table1"}); code != 2 {
-			t.Errorf("-time-shards %s: exit %d, want 2", bad, code)
-		}
-	}
-	code := run([]string{
-		"-quick", "-insts", "20000", "-warmup", "20000",
-		"-benchmarks", "exchange2", "-time-shards", "8", "fig6",
-	})
-	if code != 0 {
-		t.Errorf("-time-shards 8 fig6: exit %d, want 0", code)
-	}
-}
-
 // TestFlagValidation pins the usage-error contract across every numeric
 // and enumerated knob: an out-of-range or unparsable value must exit 2
 // with a one-line diagnostic before any simulation starts, and the
@@ -66,7 +47,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative -warmup", []string{"-warmup", "-100", "table1"}, 2},
 		{"zero -trace-cap", []string{"-trace-cap", "0", "table1"}, 2},
 		{"negative -trace-cap", []string{"-trace-cap", "-8", "table1"}, 2},
-		{"zero -time-shards", []string{"-time-shards", "0", "table1"}, 2},
 		{"zero -fuzz-seeds", []string{"-fuzz-seeds", "0", "table1"}, 2},
 		{"negative -fuzz-seeds", []string{"-fuzz-seeds", "-16", "table1"}, 2},
 		{"zero -fuzz-insts", []string{"-fuzz-insts", "0", "table1"}, 2},

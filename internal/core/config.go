@@ -84,24 +84,18 @@ type DivergentConfig struct {
 // BlockExecMode selects the functional execution engine.
 type BlockExecMode uint8
 
-// Block-execution modes. The zero value defers to the process-wide
-// default so existing configurations pick up the block engine without
-// edits.
+// Block-execution modes. The zero value is the block engine.
 const (
-	// BlockExecAuto defers to the runner's process default (on, unless
-	// the CLI passed -block-exec=false).
-	BlockExecAuto BlockExecMode = iota
 	// BlockExecOn runs main-lane emulation and checker replay through
 	// the block-compiled engine.
-	BlockExecOn
-	// BlockExecOff forces the per-instruction engine everywhere.
+	BlockExecOn BlockExecMode = iota
+	// BlockExecOff forces the per-instruction engine everywhere: the
+	// reference the differential tests and the fuzzer compare against.
 	BlockExecOff
 )
 
 func (m BlockExecMode) String() string {
 	switch m {
-	case BlockExecAuto:
-		return "auto"
 	case BlockExecOn:
 		return "on"
 	case BlockExecOff:
@@ -250,29 +244,21 @@ type Config struct {
 	// synchronously through the legacy path.
 	CheckWorkers int
 
-	// TimeShards is the depth of parallel-in-time speculation when a
-	// SpecCache is attached: how many segments a lane's functional
-	// producer may emulate ahead of the deterministic timing stitch
-	// (and the spacing of the in-run fallback snapshots). <= 1 produces
-	// inline (sequential). Like CheckWorkers, this changes wall-clock
-	// time only — stitched results are byte-identical at every setting
-	// — so it is excluded from the run-cache fingerprint.
-	TimeShards int
-	// Spec, when non-nil, enables speculative segment emulation and
-	// cross-run functional-stream memoisation over the given cache
-	// (spec.go). Observability-and-performance only: every simulated
-	// outcome is byte-identical with or without it, enforced by a
-	// per-segment continuity check with sequential fallback. Excluded
-	// from the run-cache fingerprint.
+	// Spec, when non-nil, enables cross-run functional-stream
+	// memoisation over the given cache (spec.go): eligible lanes record
+	// their committed instruction stream inline, or replay one recorded
+	// earlier. Performance only: every simulated outcome is
+	// byte-identical with or without it, enforced by a per-segment
+	// continuity check with fallback to a rerun without the cache.
+	// Excluded from the run-cache fingerprint.
 	Spec *SpecCache
 	// BlockExec selects the block-compiled execution engine (basic-block
 	// translation with batched effect delivery, emu/block.go). Like
-	// CheckWorkers and TimeShards it changes wall-clock time only —
-	// simulated outcomes are bit-identical on either engine, enforced by
-	// the differential tests in core/blockexec_test.go — so it is
-	// excluded from the run-cache fingerprint. The zero value
-	// (BlockExecAuto) lets the experiments runner apply the process-wide
-	// default, which is on.
+	// CheckWorkers it changes wall-clock time only — simulated outcomes
+	// are bit-identical on either engine, enforced by the differential
+	// tests in core/blockexec_test.go — so it is excluded from the
+	// run-cache fingerprint. The zero value (BlockExecOn) is the block
+	// engine; BlockExecOff is the per-instruction reference.
 	BlockExec BlockExecMode
 
 	NoC    noc.Config
@@ -420,9 +406,6 @@ func (c *Config) Validate() error {
 	if c.StrategyTuning.MaxLagSegments < 0 {
 		return fmt.Errorf("core: negative relaxed-start lag bound %d", c.StrategyTuning.MaxLagSegments)
 	}
-	if c.TimeShards < 0 {
-		return fmt.Errorf("core: negative time shards %d", c.TimeShards)
-	}
 	if c.BlockExec > BlockExecOff {
 		return fmt.Errorf("core: invalid block-exec mode %d", c.BlockExec)
 	}
@@ -434,6 +417,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Layout == nil {
 		return fmt.Errorf("core: nil layout")
+	}
+	if err := c.NoC.Validate(); err != nil {
+		return err
 	}
 	if err := c.Layout.Validate(c.NoC); err != nil {
 		return err

@@ -135,18 +135,14 @@ type pendingCheck struct {
 	lineLatNS float64
 	bb        checkerBuffer
 
-	// Parallel-in-time state (spec.go). recInto, when non-nil, receives
-	// the verdict at the join, so a recording stream can prove itself
-	// clean before publication. specReplay marks a replay-lane segment:
-	// the checker core re-walks the segment's effect sequence from
-	// specCur — the lane's cursor snapshot at segment entry
-	// (bit-equivalent to a live replay for every field the timing model
-	// reads) — and the verdict is synthesised clean instead of
-	// re-verified, which is sound because only clean streams are ever
-	// published.
+	// specReplay marks a replay-lane segment (spec.go): the checker core
+	// re-walks the segment's effect sequence from specCur — the lane's
+	// cursor snapshot at segment entry (bit-equivalent to a live replay
+	// for every field the timing model reads) — and the verdict is
+	// synthesised clean instead of re-verified, which is sound because
+	// only clean streams are ever published.
 	specReplay bool
 	specCur    specCursor
-	recInto    *recSeg
 
 	// Job outputs. Written by run, read after the done barrier.
 	res    CheckResult
@@ -299,57 +295,6 @@ func (s *System) dispatchPipelined(l *lane, ck *Checker, seg *Segment) {
 	}
 }
 
-// dispatchSpec is dispatchPipelined for a recording lane's stitched
-// segment (spec.go): identical snapshotting, scheduling and
-// accounting, except that the segment's entries live in the recording's
-// private backing rather than the lane's arena (no arena handoff), and
-// the pending check records its verdict into the recorded segment so
-// publication can require a clean stream.
-func (s *System) dispatchSpec(l *lane, ck *Checker, seg *Segment, rs *recSeg) {
-	xferBytes := float64(seg.LogBytes) + 2*float64(l.rcu.CheckpointTransferBytes())
-	if s.cfg.LSLTrafficOnNoC {
-		s.flows.add(l.pos, ck.Pos, xferBytes)
-	}
-	lineLatNS := s.mesh.LatencyNS(l.pos, ck.Pos, LineBytes)
-
-	var startNS float64
-	if s.cfg.EagerWake {
-		startNS = math.Max(seg.StartNS+lineLatNS, ck.FreeAtNS)
-	} else {
-		startNS = math.Max(seg.EndNS+lineLatNS, ck.FreeAtNS)
-	}
-
-	p := &pendingCheck{
-		l: l, ck: ck, seg: seg, execAt: l.executed,
-		startNS: startNS, lineLatNS: lineLatNS,
-		recInto: rs,
-	}
-	s.snapshotBeyond(ck.Pos, &p.bb)
-	ck.bb = &p.bb
-	ck.pending = p
-	ck.floorNS = math.Max(startNS, seg.EndNS+lineLatNS)
-
-	depth := uint64(0)
-	for _, c := range l.alloc.Checkers() {
-		if c.pending != nil {
-			depth++
-		}
-	}
-	s.metrics.CheckQueueDepth.Observe(depth)
-
-	if s.checkSem != nil {
-		p.done = make(chan struct{})
-		go func() {
-			s.checkSem <- struct{}{}
-			p.run(s)
-			<-s.checkSem
-			close(p.done)
-		}()
-	} else {
-		p.run(s)
-	}
-}
-
 // joinCheck completes ck's pending verification (waiting for the worker
 // if necessary) and merges its buffered effects into the shared
 // simulator state. Callers reach it only through protocol-defined join
@@ -407,18 +352,9 @@ func (s *System) joinCheck(ck *Checker) {
 		}
 	}
 
-	// A recording stream keeps the verdict alongside the segment so a
-	// later replay can reuse it without re-running the functional check.
-	if p.recInto != nil {
-		p.recInto.verdict = p.res
-	}
-
-	// Return the log arenas to the lane for reuse. Stitched segments
-	// (spec.go) back their entries privately and hand over no arena.
-	if p.entries != nil {
-		l.spareEntries = append(l.spareEntries, p.entries)
-		l.spareOps = append(l.spareOps, p.ops)
-	}
+	// Return the log arenas to the lane for reuse.
+	l.spareEntries = append(l.spareEntries, p.entries)
+	l.spareOps = append(l.spareOps, p.ops)
 }
 
 // forceAll joins every pending check on l's pool in segment order, so

@@ -73,8 +73,8 @@ func releaseEffectBatch(b []emu.Effect) {
 // release returns every recyclable piece of a finished system to its
 // free list: each lane's main core and log/effect arenas, each checker
 // core and scratch batch, and the shared LLC. Only core.Run calls it,
-// after a successful collect has joined every pending check and stopped
-// every speculative producer, so nothing still references the state.
+// after a successful collect has joined every pending check, so nothing
+// still references the state.
 // Released objects nil their internal pointers; any later use panics.
 func (s *System) release() {
 	for _, l := range s.lanes {

@@ -143,10 +143,10 @@ func TestLockstepStrategyExplicitMatchesAuto(t *testing.T) {
 
 // TestStrategyWorkerAndShardInvariance extends the determinism gates to
 // the new strategies: chunk-replay and relaxed-start runs must be
-// byte-identical at every CheckWorkers setting and with the
-// parallel-in-time machinery attached (neither strategy is
-// pipeline-eligible, so both knobs must be inert — this pins that no
-// speculative or overlapped path engages by accident).
+// byte-identical at every CheckWorkers setting and with a speculation
+// cache attached (neither strategy is pipeline-eligible, so both knobs
+// must be inert — this pins that no stream replay or overlapped path
+// engages by accident).
 func TestStrategyWorkerAndShardInvariance(t *testing.T) {
 	for _, st := range []Strategy{StrategyChunkReplay, StrategyRelaxed} {
 		t.Run(st.String(), func(t *testing.T) {
@@ -158,7 +158,7 @@ func TestStrategyWorkerAndShardInvariance(t *testing.T) {
 			}
 			cache := NewSpecCache()
 			for i := 0; i < 2; i++ {
-				got := runStrategy(t, st, func(c *Config) { c.Spec = cache; c.TimeShards = 4 })
+				got := runStrategy(t, st, func(c *Config) { c.Spec = cache })
 				if got != base {
 					t.Errorf("spec run %d diverged from sequential baseline", i)
 				}

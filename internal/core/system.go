@@ -142,8 +142,8 @@ type lane struct {
 	// has dispatched onto a busy pool; bounded by MaxLagSegments.
 	relaxLag int
 
-	// spec is this lane's parallel-in-time speculation state (spec.go);
-	// nil runs the legacy sequential runSegment path.
+	// spec is this lane's stream record/replay state (spec.go); nil runs
+	// without the speculation cache.
 	spec *laneSpec
 
 	// batch is the block-compiled engine's effect buffer (nil when the
@@ -227,11 +227,19 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 	if len(workloads) == 0 {
 		return nil, fmt.Errorf("core: no workloads")
 	}
+	mesh, err := noc.New(cfg.NoC)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	l3, err := cachesim.New(cfg.L3)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	s := &System{
 		cfg:     cfg,
-		mesh:    noc.MustNew(cfg.NoC),
+		mesh:    mesh,
 		layout:  cfg.Layout,
-		l3:      cachesim.MustNew(cfg.L3),
+		l3:      l3,
 		mem:     dram.New(cfg.DRAM),
 		flows:   newFlowTracker(),
 		metrics: obs.NewRunMetrics(),
@@ -416,16 +424,11 @@ func (s *System) Run() (*Result, error) {
 		if l == nil {
 			break
 		}
-		var err error
-		if l.spec != nil && l.spec.mode == claimRecord {
-			err = s.runSegmentSpec(l)
-		} else {
-			// Replay lanes (l.spec in claimReplay mode) run this same
-			// loop: it re-cuts segment boundaries live, drawing effects
-			// from the recorded stream via specNext.
-			err = s.runSegment(l)
-		}
-		if err != nil {
+		// Recording and replay lanes run this same loop: a recording lane
+		// steps its machine and accountEffect taps the stream; a replay
+		// lane re-cuts segment boundaries live, drawing effects from the
+		// recorded stream via specNext.
+		if err := s.runSegment(l); err != nil {
 			// Drain in-flight checks so no worker goroutine outlives
 			// the failed run, and unwind speculation claims.
 			for _, l := range s.lanes {
@@ -471,9 +474,13 @@ func (s *System) runSegment(l *lane) error {
 	// A replay lane (spec.go) never steps the machine: its effects come
 	// from the recorded stream, and stream exhaustion is its halt.
 	sp := l.spec
-	if sp != nil && sp.cur.done() {
-		s.finishLane(l)
-		return nil
+	var replay *laneSpec
+	if sp != nil && sp.mode == claimReplay {
+		replay = sp
+		if replay.cur.done() {
+			s.finishLane(l)
+			return nil
+		}
 	}
 
 	now := l.main.TimeNS()
@@ -502,10 +509,10 @@ func (s *System) runSegment(l *lane) error {
 		capacityLines = s.lslCapacityLines(l, ck)
 	}
 	l.beginSegment(hart, capacityLines, s.cfg.TimeoutInsts)
-	if sp != nil {
+	if replay != nil {
 		// Snapshot the cursor at segment entry so the pending check can
 		// re-walk exactly this segment's effects (pipeline.go).
-		sp.segCur = sp.cur
+		replay.segCur = replay.cur
 	}
 	startNS := l.main.TimeNS()
 
@@ -522,12 +529,12 @@ func (s *System) runSegment(l *lane) error {
 	for reason == BoundaryInvalid {
 		if batched {
 			var err error
-			if reason, err = s.runBatch(l, sp, budget, resumeAtNS); err != nil {
+			if reason, err = s.runBatch(l, replay, budget, resumeAtNS); err != nil {
 				return err
 			}
 			continue
 		}
-		if sp != nil {
+		if replay != nil {
 			ok, err := s.specNext(l, &eff)
 			if err != nil {
 				return err
@@ -535,8 +542,8 @@ func (s *System) runSegment(l *lane) error {
 			if !ok {
 				// The stream ran dry without a halt or budget boundary:
 				// it cannot be a recording of this workload. Degrade
-				// like any divergence (evict, rerun sequentially).
-				return s.specDiverged(l, nil)
+				// like any divergence (evict, rerun without the cache).
+				return s.specDiverged(l)
 			}
 		} else if err := l.proc.mach.StepHart(l.hart, &eff); err != nil {
 			return fmt.Errorf("core: lane %d: %w", l.idx, err)
@@ -545,18 +552,23 @@ func (s *System) runSegment(l *lane) error {
 		reason = s.accountEffect(l, &eff, budget, resumeAtNS)
 	}
 
-	if sp != nil && l.main.MicroExhausted() {
+	if replay != nil && l.main.MicroExhausted() {
 		// The replayed micro trace ran out mid-stream: it cannot be a
 		// recording of this stream on this geometry, and the main core's
 		// timing since then is not the recorded core's. Degrade like any
-		// divergence (evict the stream with its traces, rerun
-		// sequentially) instead of crashing the run.
-		return s.specDiverged(l, nil)
+		// divergence (evict the stream with its traces, rerun without
+		// the cache) instead of crashing the run.
+		return s.specDiverged(l)
 	}
-	if sp != nil && reason == BoundaryHalt {
-		// The whole recorded stream has been stitched; collection may
-		// publish a micro trace recorded over this replay.
-		sp.sawEnd = true
+	if sp != nil {
+		if sp.mode == claimRecord {
+			sp.seal(l.segStart, hart.State)
+		}
+		if reason == BoundaryHalt {
+			// The whole stream has been recorded or replayed; collection
+			// may publish the recording and any micro trace.
+			sp.sawEnd = true
+		}
 	}
 
 	// --- close the checkpoint ---
@@ -702,17 +714,20 @@ func (l *lane) beginSegment(hart *emu.Hart, capacityLines int, timeoutInsts uint
 const effectBatchSize = 256
 
 // accountEffect applies the per-instruction segment protocol for one
-// committed effect on lane l — execution counters, LSL logging, hash
-// absorption, and the boundary decision — exactly as the historical
-// runSegment loop body did. Timing consumption happens before this
-// call, either per effect or batched; the two orders are equivalent
-// because the timing model and the logging units share no state.
+// committed effect on lane l — execution counters, the stream-recording
+// tap, LSL logging, hash absorption, and the boundary decision.
+// Timing consumption happens before this call, either per effect or
+// batched; the two orders are equivalent because the timing model and
+// the logging units share no state.
 //
 //paralint:hotpath
 func (s *System) accountEffect(l *lane, eff *emu.Effect, budget int64, resumeAtNS float64) BoundaryReason {
 	l.executed++
 	l.segInsts++
 	l.sinceIRQ++
+	if sp := l.spec; sp != nil && sp.mode == claimRecord {
+		sp.tap(eff)
+	}
 
 	pushed := 0
 	if l.segChecked {
@@ -784,7 +799,7 @@ func (s *System) batchFuel(l *lane, budget int64) int {
 }
 
 // runBatch executes one block-compiled batch on lane l: fill l.batch
-// from the machine (or, on a replay lane, from the recorded stream),
+// from the machine (or, when replay is non-nil, from the recorded stream),
 // deliver the whole batch to the main-core timing model, then replay
 // the logging and boundary protocol per effect. Returns the boundary
 // reason, which by the batchFuel sizing can only fire at the batch's
@@ -793,10 +808,10 @@ func (s *System) batchFuel(l *lane, budget int64) int {
 // timing.
 //
 //paralint:hotpath
-func (s *System) runBatch(l *lane, sp *laneSpec, budget int64, resumeAtNS float64) (BoundaryReason, error) {
+func (s *System) runBatch(l *lane, replay *laneSpec, budget int64, resumeAtNS float64) (BoundaryReason, error) {
 	fuel := s.batchFuel(l, budget)
 	var n int
-	if sp != nil {
+	if replay != nil {
 		// Replay lane: reconstruct effects from the recorded stream. The
 		// cursor advances per instruction (reconstruction is cheap); only
 		// the timing delivery below is batched.
@@ -809,7 +824,7 @@ func (s *System) runBatch(l *lane, sp *laneSpec, budget int64, resumeAtNS float6
 				if n == 0 {
 					// Dry stream with no halt or budget boundary: not a
 					// recording of this workload (see the sequential path).
-					return BoundaryInvalid, s.specDiverged(l, nil)
+					return BoundaryInvalid, s.specDiverged(l)
 				}
 				// Account the filled prefix; the next batch re-detects
 				// the dry stream from a clean boundary state.
@@ -995,8 +1010,8 @@ func (s *System) collect() *Result {
 	for _, l := range s.lanes {
 		s.forceAll(l)
 	}
-	// Joins also record the verdicts a recorded stream replays, so
-	// publication must follow the join sweep.
+	// Joins merge the detections that decide whether a recording is
+	// clean, so publication must follow the join sweep.
 	if s.cfg.Spec != nil {
 		s.publishSpec()
 	}
@@ -1083,11 +1098,10 @@ func (s *System) traceCheck(l *lane, ck *Checker, seg *Segment, startNS, durNS f
 		})
 }
 
-// Run builds and runs a system in one call. When speculation is
-// enabled and a divergence escapes the in-run fallback, the whole
-// system is rebuilt and rerun sequentially without speculation — the
-// continuity check turns any speculation defect into wall-clock cost,
-// never a result difference.
+// Run builds and runs a system in one call. When a replayed stream
+// diverges, the whole system is rebuilt and rerun without the
+// speculation cache — the continuity check turns any replay defect into
+// wall-clock cost, never a result difference.
 //
 // Run owns the system it builds: after a successful run it releases the
 // system's cores, caches and arenas to their free lists (System.release),

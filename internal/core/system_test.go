@@ -319,6 +319,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestMalformedNoCConfigIsAnError pins that a mesh no fabric can be
+// built from is a configuration error from Validate and Run, never a
+// panic inside system construction.
+func TestMalformedNoCConfigIsAnError(t *testing.T) {
+	ws := []Workload{{Name: "mixed", Prog: mixedProgram(100)}}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"noc-width-0", func(c *Config) { c.NoC.WidthBits = 0 }},
+		{"noc-freq-0", func(c *Config) { c.NoC.FreqGHz = 0 }},
+		{"noc-rows-0", func(c *Config) { c.NoC.Rows = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			cfg := DefaultConfig(a510Checkers(2, 2.0))
+			tc.mut(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted the malformed config")
+			}
+			if _, err := Run(cfg, ws); err == nil {
+				t.Error("Run accepted the malformed config")
+			}
+		})
+	}
+}
+
 func TestAllocatorPrefersLittleCores(t *testing.T) {
 	mk := func(cfg cpu.Config, f float64) *Checker {
 		return &Checker{Core: cpu.MustNewCore(cfg, f, cpu.ModeChecker), FreqGHz: f}

@@ -65,7 +65,7 @@ func (c *Core) microNext() uint8 {
 // MicroExhausted reports whether a replayed micro trace ever ran out on
 // this core. Timing computed after that point is not the recorded
 // core's, so a caller seeing true must discard it (the core package
-// reruns the whole system without speculation).
+// reruns the whole system without the speculation cache).
 func (c *Core) MicroExhausted() bool { return c.microDry }
 
 // Prefix returns a copy of the trace's first n events (all of them when

@@ -36,10 +36,8 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	// directly), so the process-wide check-worker and trace settings are
 	// applied here. Neither changes trial outcomes.
 	applyCheckWorkers(&full)
-	applyBlockExec(&full)
 	applyTrace(&full)
 	applyCheckWorkers(&opp)
-	applyBlockExec(&opp)
 	applyTrace(&opp)
 
 	r, err := fault.RunCampaign(fault.CampaignConfig{

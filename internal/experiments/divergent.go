@@ -66,10 +66,8 @@ func divergentConfigs() (lockstep, divergent core.Config) {
 	divergent = lockstep
 	divergent.CheckMode = core.CheckDivergent
 	applyCheckWorkers(&lockstep)
-	applyBlockExec(&lockstep)
 	applyTrace(&lockstep)
 	applyCheckWorkers(&divergent)
-	applyBlockExec(&divergent)
 	applyTrace(&divergent)
 	return lockstep, divergent
 }

@@ -64,12 +64,11 @@ var fingerprintedConfigFields = map[string]bool{
 	// guarantees byte-identical results at every worker count
 	// (core/pipeline.go), so runs differing only here share one entry.
 	"CheckWorkers": false,
-	// TimeShards and Spec drive the parallel-in-time engine (core/spec.go),
-	// which guarantees byte-identical tables at every shard count and with
-	// or without a speculation cache attached: both are pure wall-clock
-	// knobs, so hashing them would split the cache for no semantic reason.
-	"TimeShards": false,
-	"Spec":       false,
+	// Spec attaches the stream record/replay cache (core/spec.go), which
+	// guarantees byte-identical tables with or without it: a pure
+	// wall-clock knob, so hashing it would split the cache for no
+	// semantic reason.
+	"Spec": false,
 	// BlockExec picks the block-compiled vs per-instruction execution
 	// engine (core/system.go), which produce bit-identical simulated
 	// outcomes (core/blockexec_test.go): another pure wall-clock knob,
@@ -178,7 +177,7 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	// 20-22: recovery policy and workload seed. Recovery.Quarantine rides
 	// along inside %+v.
 	fmt.Fprintf(w, "recovery=%+v seed=%v\n", cfg.Recovery, cfg.Seed)
-	// CheckWorkers, TimeShards, Spec and Trace are deliberately NOT
+	// CheckWorkers, Spec, BlockExec and Trace are deliberately NOT
 	// hashed; see the fingerprintedConfigFields table for the rationale.
 }
 

@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"paraverser/internal/core"
 	"paraverser/internal/obs"
@@ -70,17 +69,10 @@ func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	spec := core.NewSpecCache()
-	// core is a deterministic package (no wall clock); the engine injects
-	// one so the speculation layer can report stitch time in wall-clock
-	// observability counters. The reading feeds only the StitchNS stats
-	// counter, never a simulated outcome.
-	//paralint:allow(injected clock feeds the StitchNS observability counter only)
-	spec.SetClock(func() int64 { return time.Now().UnixNano() })
 	return &Engine{
 		sem:   make(chan struct{}, workers),
 		cache: make(map[runKey]*runCall),
-		spec:  spec,
+		spec:  core.NewSpecCache(),
 	}
 }
 
@@ -205,7 +197,6 @@ func (f *Future) Wait() (*core.Result, error) {
 // fault-injection matrices parallelise under the same bound.
 func (e *Engine) Submit(cfg core.Config, ws []core.Workload) *Future {
 	applyCheckWorkers(&cfg)
-	applyBlockExec(&cfg)
 	applyStrategy(&cfg)
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
@@ -254,7 +245,6 @@ func (e *Engine) noteHit(c *runCall) {
 // first-time working-set generation parallelises with other runs.
 func (e *Engine) SubmitSpec(cfg core.Config, bench string, insts, warmup int64) *Future {
 	applyCheckWorkers(&cfg)
-	applyBlockExec(&cfg)
 	applyStrategy(&cfg)
 	applyTrace(&cfg)
 	e.applySpec(&cfg)
@@ -370,54 +360,17 @@ func applyCheckWorkers(cfg *core.Config) {
 	}
 }
 
-// blockExecOff disables the block-compiled execution engine for
-// submitted configurations that leave Config.BlockExec at its Auto zero
-// value. The engine is on by default; results are engine-invariant
-// (core/blockexec_test.go) and BlockExec is excluded from the cache
-// fingerprint, so flipping it never splits the cache.
-var blockExecOff atomic.Bool
-
-// SetBlockExec turns the block-compiled execution engine on or off for
-// subsequent submissions (default on). Like SetCheckWorkers this only
-// changes wall-clock behaviour; simulated results are bit-identical on
-// either engine.
-func SetBlockExec(on bool) { blockExecOff.Store(!on) }
-
-func applyBlockExec(cfg *core.Config) {
-	if cfg.BlockExec == core.BlockExecAuto {
-		if blockExecOff.Load() {
-			cfg.BlockExec = core.BlockExecOff
-		} else {
-			cfg.BlockExec = core.BlockExecOn
-		}
-	}
-}
-
-// timeShards is the speculation depth applied to submitted configurations
-// that leave Config.TimeShards zero. Like CheckWorkers it only changes
-// wall-clock behaviour (core/spec.go) and is excluded from the cache
-// fingerprint.
-var timeShards atomic.Int64
-
-// SetTimeShards sets how many segments each simulation lane may emulate
-// ahead of its timing stitch (<= 1 emulates inline). Simulated results
-// are byte-identical at any setting.
-func SetTimeShards(n int) { timeShards.Store(int64(n)) }
-
-// applySpec attaches the engine's speculation cache and the process-wide
-// shard depth to a cacheable submission. Fault-injection runs carry
-// interceptors whose per-run mutable state must never be shared, and the
-// speculation engine declines them anyway (laneSpecEligible); leaving
-// them untouched keeps that property obvious here.
+// applySpec attaches the engine's speculation cache to a cacheable
+// submission. Fault-injection runs carry interceptors whose per-run
+// mutable state must never be shared, and the speculation engine
+// declines them anyway (laneSpecEligible); leaving them untouched keeps
+// that property obvious here.
 func (e *Engine) applySpec(cfg *core.Config) {
 	if !cacheable(cfg) {
 		return
 	}
 	if cfg.Spec == nil {
 		cfg.Spec = e.spec
-	}
-	if cfg.TimeShards == 0 {
-		cfg.TimeShards = int(timeShards.Load())
 	}
 }
 

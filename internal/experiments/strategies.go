@@ -59,7 +59,6 @@ func strategyConfigs() (order []string, cfgs map[string]core.Config) {
 			cfg.Strategy = core.StrategyRelaxed
 		}
 		applyCheckWorkers(&cfg)
-		applyBlockExec(&cfg)
 		applyTrace(&cfg)
 		cfgs[name] = cfg
 	}

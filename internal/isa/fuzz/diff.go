@@ -15,7 +15,7 @@ import (
 // Divergence describes one differential mismatch: which engine pair (or
 // which system configuration) disagreed, and how.
 type Divergence struct {
-	Stage  string // "step-vs-blocks", "strategy:<name>", "timeshards", "divergent"
+	Stage  string // "step", "blocks", "step-vs-blocks", "strategy:<name>", "spec", "divergent"
 	Detail string
 }
 
@@ -155,8 +155,10 @@ func Differential(p *isa.Program, seed uint64) *Divergence {
 	// engine: each run must retire exactly the reference instruction
 	// count and raise zero detections (a detection on a fault-free run
 	// is a checker false positive; an instruction-count delta is a
-	// functional divergence inside the system model).
+	// functional divergence inside the system model). The lockstep
+	// block-engine run is kept as stage 3's reference.
 	ws := []core.Workload{{Name: p.Name, Prog: p}}
+	var seqRes *core.Result
 	strategies := []struct {
 		name  string
 		strat core.Strategy
@@ -179,34 +181,32 @@ func Differential(p *isa.Program, seed uint64) *Divergence {
 				return &Divergence{Stage: "strategy:" + s.name,
 					Detail: fmt.Sprintf("retired %d instructions, reference %d (blocks=%v)", got, refInsts, blocks)}
 			}
+			if s.strat == core.StrategyLockstep && blocks == core.BlockExecOn {
+				seqRes = res
+			}
 		}
 	}
 
-	// 3. Parallel-in-time speculation: a sharded run with a spec cache
-	// must render byte-identically to the sequential run.
-	seq := sysConfig(seed, core.StrategyLockstep, core.BlockExecAuto)
-	seq.TimeShards = 1
-	seqRes, err := core.Run(seq, ws)
+	// 3. Stream recording: a run that records its stream into a fresh
+	// speculation cache must render byte-identically to the same
+	// configuration without the cache (stage 2's lockstep block-engine
+	// run).
+	rec := sysConfig(seed, core.StrategyLockstep, core.BlockExecOn)
+	rec.Spec = core.NewSpecCache()
+	recRes, err := core.Run(rec, ws)
 	if err != nil {
-		return &Divergence{Stage: "timeshards", Detail: err.Error()}
+		return &Divergence{Stage: "spec", Detail: err.Error()}
 	}
-	shard := sysConfig(seed, core.StrategyLockstep, core.BlockExecAuto)
-	shard.Spec = core.NewSpecCache()
-	shard.TimeShards = 4
-	shardRes, err := core.Run(shard, ws)
-	if err != nil {
-		return &Divergence{Stage: "timeshards", Detail: err.Error()}
-	}
-	if a, b := flattenResult(seqRes), flattenResult(shardRes); a != b {
-		return &Divergence{Stage: "timeshards",
-			Detail: fmt.Sprintf("TimeShards=4 diverged from sequential:\n--- seq ---\n%s\n--- shards ---\n%s", a, b)}
+	if a, b := flattenResult(seqRes), flattenResult(recRes); a != b {
+		return &Divergence{Stage: "spec",
+			Detail: fmt.Sprintf("recording run diverged from the run without a cache:\n--- no cache ---\n%s\n--- recording ---\n%s", a, b)}
 	}
 
 	// 4. Divergent checking: the decorrelated variant must also verify
 	// clean against the original (single-hart programs only, which is
 	// all the generator emits).
 	if len(p.Entries) == 1 {
-		div := sysConfig(seed, core.StrategyAuto, core.BlockExecAuto)
+		div := sysConfig(seed, core.StrategyAuto, core.BlockExecOn)
 		div.CheckMode = core.CheckDivergent
 		res, err := core.Run(div, ws)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package fuzz generates random-but-verifiable programs and executes
 // them differentially across every execution engine in the tree: the
 // per-instruction emulator, the block-compiled emulator, each checker
-// strategy of the full system model, and the parallel-in-time
-// speculation path. Programs come out of a templated, seed-deterministic
+// strategy of the full system model, and the stream-recording path.
+// Programs come out of a templated, seed-deterministic
 // generator over the full opcode set; the abstract-interpretation
 // verifier screens each candidate (no errors, a proved termination
 // bound) before any engine runs it, so a divergence is always an engine

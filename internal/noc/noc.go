@@ -65,10 +65,18 @@ type Mesh struct {
 	scratch []int32
 }
 
+// Validate reports a mesh configuration no fabric can be built from.
+func (c Config) Validate() error {
+	if c.Rows <= 0 || c.Cols <= 0 || c.WidthBits <= 0 || c.FreqGHz <= 0 {
+		return fmt.Errorf("noc: invalid config %+v", c)
+	}
+	return nil
+}
+
 // New builds an empty mesh.
 func New(cfg Config) (*Mesh, error) {
-	if cfg.Rows <= 0 || cfg.Cols <= 0 || cfg.WidthBits <= 0 || cfg.FreqGHz <= 0 {
-		return nil, fmt.Errorf("noc: invalid config %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Mesh{
 		cfg:     cfg,
