@@ -38,10 +38,13 @@
 // bounded segment trace in Chrome trace_event JSON, -progress prints a
 // live status line to stderr. `paraverser metrics [-trace trace.json]
 // metrics.json` renders a saved snapshot and cross-checks it against a
-// trace.
+// trace. Every experiment runs under the pprof label experiment=<name>,
+// so `go tool pprof -tagfocus=experiment=fig8` splits a -cpuprofile by
+// experiment.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -278,7 +281,7 @@ func run(args []string) int {
 			go func(i int, name string) {
 				defer func() { done <- struct{}{} }()
 				start := time.Now()
-				text, err := runExperiment(name, sc, camp)
+				text, err := runLabelled(name, sc, camp)
 				reports[i] = report{text, time.Since(start), err}
 			}(i, name)
 		}
@@ -288,7 +291,7 @@ func run(args []string) int {
 	} else {
 		for i, name := range names {
 			start := time.Now()
-			text, err := runExperiment(name, sc, camp)
+			text, err := runLabelled(name, sc, camp)
 			reports[i] = report{text, time.Since(start), err}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "paraverser: %s: %v\n", name, err)
@@ -377,6 +380,18 @@ type campaignOpts struct {
 	fuzzSeeds   int
 	fuzzInsts   int
 	fuzzWorkers int
+}
+
+// runLabelled runs one experiment under the pprof label
+// experiment=<name>. The engine and campaign goroutines the experiment
+// starts inherit the label, so a CPU profile splits by experiment; a
+// run shared through the result cache or the trial memo is charged to
+// the experiment that executed it.
+func runLabelled(name string, sc experiments.Scale, camp campaignOpts) (text string, err error) {
+	pprof.Do(context.Background(), pprof.Labels("experiment", name), func(context.Context) {
+		text, err = runExperiment(name, sc, camp)
+	})
+	return text, err
 }
 
 // runExperiment renders one experiment's report. It returns the output

@@ -427,6 +427,9 @@ func (c *Config) Validate() error {
 	if err := c.L3.Validate(); err != nil {
 		return err
 	}
+	if err := c.DRAM.Validate(); err != nil {
+		return err
+	}
 	return nil
 }
 

@@ -351,6 +351,41 @@ func TestMalformedNoCConfigIsAnError(t *testing.T) {
 	}
 }
 
+// TestMalformedDRAMConfigIsAnError pins that a memory model with no
+// banks, no row size or no bandwidth is a configuration error from
+// Validate and Run, never an integer divide-by-zero on the first DRAM
+// access.
+func TestMalformedDRAMConfigIsAnError(t *testing.T) {
+	ws := []Workload{{Name: "mixed", Prog: mixedProgram(100)}}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"dram-banks-0", func(c *Config) { c.DRAM.Banks = 0 }},
+		{"dram-rowbytes-0", func(c *Config) { c.DRAM.RowBytes = 0 }},
+		{"dram-peak-0", func(c *Config) { c.DRAM.PeakGBs = 0 }},
+		{"dram-base-negative", func(c *Config) { c.DRAM.BaseNS = -1 }},
+		{"dram-rowhit-negative", func(c *Config) { c.DRAM.RowHitNS = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			cfg := DefaultConfig(a510Checkers(2, 2.0))
+			tc.mut(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted the malformed config")
+			}
+			if _, err := Run(cfg, ws); err == nil {
+				t.Error("Run accepted the malformed config")
+			}
+		})
+	}
+}
+
 func TestAllocatorPrefersLittleCores(t *testing.T) {
 	mk := func(cfg cpu.Config, f float64) *Checker {
 		return &Checker{Core: cpu.MustNewCore(cfg, f, cpu.ModeChecker), FreqGHz: f}

@@ -4,6 +4,8 @@
 // reuse distance.
 package dram
 
+import "fmt"
+
 // Config describes the memory system.
 type Config struct {
 	// BaseNS is the idle (unloaded) access latency in nanoseconds.
@@ -28,6 +30,16 @@ func DDR4_2400() Config {
 		Banks:    16,
 		RowBytes: 8192,
 	}
+}
+
+// Validate rejects a configuration the model cannot simulate: zero banks
+// or a zero row size would divide by zero on the first access, and a
+// non-positive peak bandwidth makes the queueing term meaningless.
+func (c Config) Validate() error {
+	if c.Banks < 1 || c.RowBytes < 1 || !(c.PeakGBs > 0) || c.BaseNS < 0 || c.RowHitNS < 0 {
+		return fmt.Errorf("dram: invalid config %+v", c)
+	}
+	return nil
 }
 
 // Model tracks open rows and offered load.

@@ -53,57 +53,6 @@ func NewMemoryFromSnapshot(s *MemSnapshot) *Memory {
 	return m
 }
 
-// MachineSnapshot captures a Machine's complete architectural state:
-// memory (copy-on-write), every hart's register file / instret / halt
-// flag, and each environment's random stream. Restoring it reproduces
-// execution bit for bit from the capture point.
-type MachineSnapshot struct {
-	mem     *MemSnapshot
-	states  []ArchState
-	instret []uint64
-	halted  []bool
-	rng     []uint64
-}
-
-// Snapshot captures the machine's architectural state.
-func (m *Machine) Snapshot() *MachineSnapshot {
-	s := &MachineSnapshot{
-		mem:     m.Mem.Snapshot(),
-		states:  make([]ArchState, len(m.Harts)),
-		instret: make([]uint64, len(m.Harts)),
-		halted:  make([]bool, len(m.Harts)),
-		rng:     make([]uint64, len(m.Env)),
-	}
-	for i, h := range m.Harts {
-		s.states[i] = h.State
-		s.instret[i] = h.Instret
-		s.halted[i] = h.Halted
-	}
-	for i, e := range m.Env {
-		s.rng[i] = e.rng
-	}
-	return s
-}
-
-// HartState returns hart i's captured architectural state, letting a
-// caller decide whether a snapshot extends a known execution point
-// before paying for a Restore.
-func (s *MachineSnapshot) HartState(i int) ArchState { return s.states[i] }
-
-// Restore rewinds the machine to a snapshot. The snapshot stays valid:
-// it can be restored any number of times (each restore materialises a
-// fresh copy-on-write memory over the shared pages).
-func (m *Machine) Restore(s *MachineSnapshot) {
-	m.Mem = NewMemoryFromSnapshot(s.mem)
-	for i, h := range m.Harts {
-		h.State = s.states[i]
-		h.Instret = s.instret[i]
-		h.Halted = s.halted[i]
-		m.Env[i].Mem = m.Mem
-		m.Env[i].rng = s.rng[i]
-	}
-}
-
 // imageCache memoises one initial-memory snapshot per program pointer.
 // Programs are immutable once built (the experiment layer guarantees one
 // canonical *isa.Program per workload name), so the data segment needs

@@ -83,42 +83,6 @@ func runToEnd(t *testing.T, m *Machine, prog *isa.Program) uint64 {
 	return got
 }
 
-// TestMachineSnapshotRestoreRoundTrip: restoring a mid-run snapshot and
-// re-running must reproduce the original completion bit for bit, and the
-// snapshot must survive multiple restores.
-func TestMachineSnapshotRestoreRoundTrip(t *testing.T) {
-	prog := buildSum(100)
-	m, err := NewMachine(prog, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(150, nil); err != ErrLimit {
-		t.Fatalf("want ErrLimit mid-run, got %v", err)
-	}
-	snap := m.Snapshot()
-	midState := m.Harts[0].State
-
-	want := runToEnd(t, m, prog)
-	if want != 5050 {
-		t.Fatalf("sum = %d, want 5050", want)
-	}
-	endState := m.Harts[0].State
-	endInstret := m.Harts[0].Instret
-
-	for round := 0; round < 2; round++ {
-		m.Restore(snap)
-		if m.Harts[0].State != midState {
-			t.Fatalf("round %d: restored state differs from capture", round)
-		}
-		if got := runToEnd(t, m, prog); got != want {
-			t.Errorf("round %d: replay result %d, want %d", round, got, want)
-		}
-		if m.Harts[0].State != endState || m.Harts[0].Instret != endInstret {
-			t.Errorf("round %d: replay end state differs", round)
-		}
-	}
-}
-
 // TestMachineSharedMatchesPrivate: a machine over the shared image cache
 // must execute identically to one with a privately materialised data
 // segment, and two shared machines must not observe each other's stores.
@@ -152,26 +116,6 @@ func TestMachineSharedMatchesPrivate(t *testing.T) {
 	}
 	if got := runToEnd(t, b, prog); got != want {
 		t.Errorf("second shared run = %d, want %d", got, want)
-	}
-}
-
-// TestMachineRestoreEnvCoherent: after Restore, the environments must
-// address the restored memory (not the abandoned one) and replay the
-// same random stream.
-func TestMachineRestoreEnvCoherent(t *testing.T) {
-	prog := buildSum(10)
-	m, err := NewMachine(prog, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	r1, _ := m.Env[0].Rand()
-	m.Restore(snap)
-	if m.Env[0].Mem != m.Mem {
-		t.Fatal("env memory not rewired to restored memory")
-	}
-	if r2, _ := m.Env[0].Rand(); r2 != r1 {
-		t.Errorf("rng not restored: %d vs %d", r2, r1)
 	}
 }
 

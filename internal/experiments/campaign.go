@@ -32,27 +32,22 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	opp := core.DefaultConfig(a510Spec(2, 2.0))
 	opp.Mode = core.ModeOpportunistic
 	opp.Recovery = core.DefaultRecovery()
-	// Campaign trials bypass the engine (they call fault.RunCampaign
-	// directly), so the process-wide check-worker and trace settings are
+	// Campaign trials bypass Submit (they run on the campaign's own
+	// workers), so the process-wide check-worker and trace settings are
 	// applied here. Neither changes trial outcomes.
 	applyCheckWorkers(&full)
 	applyTrace(&full)
 	applyCheckWorkers(&opp)
 	applyTrace(&opp)
 
-	r, err := fault.RunCampaign(fault.CampaignConfig{
+	// Trials run through the engine's trial memo, which also records
+	// each executed trial's metrics shard for the export.
+	return fault.RunCampaign(fault.CampaignConfig{
 		Seed:      seed,
 		Trials:    trials,
 		Workers:   workers,
 		Workloads: workloads,
 		Configs:   []core.Config{full, opp},
+		Memo:      defaultEngine(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Campaign trials never pass through the engine's cache, so their
-	// merged shard is recorded explicitly; the aggregate stays
-	// deterministic because trial metrics depend only on the seed.
-	defaultEngine().RecordMetrics(r.RunMetrics())
-	return r, nil
 }

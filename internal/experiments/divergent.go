@@ -5,6 +5,7 @@ import (
 
 	"paraverser/internal/core"
 	"paraverser/internal/fault"
+	"paraverser/internal/isa"
 	"paraverser/internal/stats"
 	"paraverser/internal/workload/gap"
 	"paraverser/internal/workload/parsec"
@@ -35,7 +36,9 @@ type DivergentResult struct {
 // SPEC benchmarks, two GAP kernels, and the one-thread PARSEC
 // blackscholes build. Divergent mode requires single-hart programs (the
 // private canonical image cannot track cross-hart stores), which is why
-// the PARSEC entry uses BlackscholesThreads(n, 1).
+// the PARSEC entry uses BlackscholesThreads(n, 1). Every program is
+// canonical per scale (specProg, suiteProg), so the divergent and
+// strategies studies share their fault-free runs and trials.
 func divergentWorkloads(sc Scale) ([]core.Workload, error) {
 	var ws []core.Workload
 	for _, bench := range sc.faultBenchmarks() {
@@ -45,13 +48,22 @@ func divergentWorkloads(sc Scale) ([]core.Workload, error) {
 		}
 		ws = append(ws, core.Workload{Name: bench, Prog: prog, MaxInsts: sc.FaultHorizon})
 	}
-	g := gap.Kronecker(sc.GAPScale, sc.GAPEdgeFactor, 1)
-	bfs, _ := gap.BFS(g, 0)
-	pr, _ := gap.PageRank(g, 4)
+	graph := fmt.Sprintf("%d/%d", sc.GAPScale, sc.GAPEdgeFactor)
+	bfs := suiteProg("gap.bfs@"+graph, func() *isa.Program {
+		p, _ := gap.BFS(gap.Kronecker(sc.GAPScale, sc.GAPEdgeFactor, 1), 0)
+		return p
+	})
+	pr := suiteProg("gap.pr@"+graph, func() *isa.Program {
+		p, _ := gap.PageRank(gap.Kronecker(sc.GAPScale, sc.GAPEdgeFactor, 1), 4)
+		return p
+	})
+	bs := suiteProg(fmt.Sprintf("parsec.blackscholes1@%d", sc.ParsecScale), func() *isa.Program {
+		return parsec.BlackscholesThreads(sc.ParsecScale, 1)
+	})
 	ws = append(ws,
 		core.Workload{Name: "gap.bfs", Prog: bfs, MaxInsts: sc.FaultHorizon},
 		core.Workload{Name: "gap.pr", Prog: pr, MaxInsts: sc.FaultHorizon},
-		core.Workload{Name: "parsec.blackscholes1", Prog: parsec.BlackscholesThreads(sc.ParsecScale, 1), MaxInsts: sc.FaultHorizon},
+		core.Workload{Name: "parsec.blackscholes1", Prog: bs, MaxInsts: sc.FaultHorizon},
 	)
 	return ws, nil
 }
@@ -107,8 +119,9 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	}}
 
 	// Phase 1: fault-free slowdown runs, all in flight at once. The
-	// campaign phase below bypasses the engine (private injectors), so
-	// kicking these off first keeps the pool busy throughout.
+	// campaign phase below runs its trials on its own workers (through
+	// the engine's trial memo, not its pool), so kicking these off first
+	// keeps the pool busy throughout.
 	type slowRun struct{ base, lock, div *Future }
 	slowF := make([]slowRun, len(ws))
 	for i, w := range ws {
@@ -124,7 +137,8 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	// Phase 2: the paired campaigns. Same seed, same trial count, same
 	// workload pool, one config each: genTrial's per-trial rng draws the
 	// identical (fault, workload, checker) stream for both, so trial i
-	// is the same experiment under the two check modes.
+	// is the same experiment under the two check modes. The strategies
+	// study draws the same trials, and the trial memo shares them.
 	mix := divergentMix()
 	run := func(cfg core.Config) (*fault.CampaignResult, error) {
 		return fault.RunCampaign(fault.CampaignConfig{
@@ -134,6 +148,7 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 			Workloads: ws,
 			Configs:   []core.Config{cfg},
 			Mix:       &mix,
+			Memo:      e,
 		})
 	}
 	if out.Lockstep, err = run(lockCfg); err != nil {
@@ -142,8 +157,6 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	if out.Divergent, err = run(divCfg); err != nil {
 		return nil, fmt.Errorf("divergent study, divergent campaign: %w", err)
 	}
-	defaultEngine().RecordMetrics(out.Lockstep.RunMetrics())
-	defaultEngine().RecordMetrics(out.Divergent.RunMetrics())
 
 	for i := range out.Lockstep.Trials {
 		lt, dt := &out.Lockstep.Trials[i], &out.Divergent.Trials[i]

@@ -126,6 +126,20 @@ func specProg(name string) (*isa.Program, error) {
 	return e.prog, e.err
 }
 
+// suiteProgs holds one canonical program per (workload, scale) for the
+// GAP and PARSEC programs the divergent and strategies studies build.
+// The run cache, the SpecCache and the trial memo identify these
+// programs by pointer, so two studies share runs only if they share the
+// *isa.Program; like specProg, suiteProg builds each once per process.
+var suiteProgs sync.Map // string -> *progEntry
+
+func suiteProg(key string, build func() *isa.Program) *isa.Program {
+	v, _ := suiteProgs.LoadOrStore(key, &progEntry{})
+	e := v.(*progEntry)
+	e.once.Do(func() { e.prog = build() })
+	return e.prog
+}
+
 // baselineCfg is the no-checking configuration every slowdown figure
 // normalises against.
 func baselineCfg() core.Config {

@@ -50,17 +50,19 @@ type Engine struct {
 	// uncached holds the calls that bypass the cache (fault-injection
 	// runs), so Gather can still merge their metric shards.
 	uncached []*runCall
-	// external holds shards recorded from simulations that bypassed the
-	// engine entirely (the fault campaign drives fault.RunCampaign
-	// directly), so the metrics export covers the whole suite.
-	external []*obs.RunMetrics
+	// trials is the trial memo (trialmemo.go) the fault campaigns run
+	// through; trialCalls lists every executed trial, memoised or not,
+	// so Gather merges each executed trial's shard once.
+	trials     map[trialKey]*trialCall
+	trialCalls []*trialCall
 
-	runs   atomic.Int64 // simulations actually executed
-	hits   atomic.Int64 // submissions served by cache or singleflight
-	shares atomic.Int64 // the hits that joined a still-in-flight run
-	jobs   atomic.Int64 // submissions issued
-	done   atomic.Int64 // submissions resolved
-	segs   atomic.Int64 // segments closed across executed runs
+	runs      atomic.Int64 // simulations actually executed
+	trialRuns atomic.Int64 // fault-injection trials actually executed
+	hits      atomic.Int64 // submissions served by cache or singleflight
+	shares    atomic.Int64 // the hits that joined a still-in-flight run
+	jobs      atomic.Int64 // submissions issued
+	done      atomic.Int64 // submissions resolved
+	segs      atomic.Int64 // segments closed across executed runs
 }
 
 // NewEngine returns an engine whose pool admits workers concurrent
@@ -70,9 +72,10 @@ func NewEngine(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		sem:   make(chan struct{}, workers),
-		cache: make(map[runKey]*runCall),
-		spec:  core.NewSpecCache(),
+		sem:    make(chan struct{}, workers),
+		cache:  make(map[runKey]*runCall),
+		trials: make(map[trialKey]*trialCall),
+		spec:   core.NewSpecCache(),
 	}
 }
 
@@ -87,8 +90,13 @@ func (e *Engine) Workers() int { return cap(e.sem) }
 // in-flight or completed identical run.
 func (e *Engine) Runs() int64 { return e.runs.Load() }
 
-// Hits returns the number of deduplicated submissions.
+// Hits returns the number of deduplicated submissions and memoised
+// trials.
 func (e *Engine) Hits() int64 { return e.hits.Load() }
+
+// TrialRuns returns how many fault-injection trials the engine's trial
+// memo has executed (memo misses).
+func (e *Engine) TrialRuns() int64 { return e.trialRuns.Load() }
 
 // Shares returns how many of the hits joined a run that was still in
 // flight rather than already completed. Unlike Runs and Hits this split
@@ -109,10 +117,10 @@ func (e *Engine) ProgressStats() obs.ProgressStats {
 	}
 }
 
-// Gather merges the metric shards of every completed run the engine has
-// executed into one aggregate. Shard merging is commutative integer
-// addition (obs.RunMetrics), so the aggregate is byte-identical for the
-// same submission set at any worker count.
+// Gather merges the metric shards of every completed run and trial the
+// engine has executed into one aggregate. Shard merging is commutative
+// integer addition (obs.RunMetrics), so the aggregate is byte-identical
+// for the same submission set at any worker count.
 func (e *Engine) Gather() *obs.RunMetrics {
 	e.mu.Lock()
 	calls := make([]*runCall, 0, len(e.cache)+len(e.uncached))
@@ -121,13 +129,10 @@ func (e *Engine) Gather() *obs.RunMetrics {
 		calls = append(calls, c)
 	}
 	calls = append(calls, e.uncached...)
-	ext := append([]*obs.RunMetrics(nil), e.external...)
+	trials := append([]*trialCall(nil), e.trialCalls...)
 	e.mu.Unlock()
 
 	m := obs.NewRunMetrics()
-	for _, sh := range ext {
-		m.Merge(sh)
-	}
 	for _, c := range calls {
 		select {
 		case <-c.done:
@@ -137,18 +142,16 @@ func (e *Engine) Gather() *obs.RunMetrics {
 		default: // still in flight; its shard is not readable yet
 		}
 	}
-	return m
-}
-
-// RecordMetrics folds an externally produced shard (e.g. a fault
-// campaign's merged trial metrics) into the engine's aggregate.
-func (e *Engine) RecordMetrics(m *obs.RunMetrics) {
-	if m == nil {
-		return
+	for _, c := range trials {
+		select {
+		case <-c.done:
+			if c.err == nil {
+				m.Merge(c.res.Metrics)
+			}
+		default:
+		}
 	}
-	e.mu.Lock()
-	e.external = append(e.external, m)
-	e.mu.Unlock()
+	return m
 }
 
 // MetricsSnapshot exports the engine's deterministic metrics: the merged
@@ -161,7 +164,8 @@ func (e *Engine) MetricsSnapshot() *obs.Snapshot {
 	var b obs.SnapshotBuilder
 	e.Gather().AddTo(&b, "paraverser_")
 	b.Counter("paraverser_runcache_runs_total", "simulations executed (cache misses)", uint64(e.Runs()))
-	b.Counter("paraverser_runcache_hits_total", "submissions deduplicated against an identical run", uint64(e.Hits()))
+	b.Counter("paraverser_runcache_hits_total", "submissions and fault trials deduplicated against an identical run", uint64(e.Hits()))
+	b.Counter("paraverser_trialmemo_trials_total", "fault-injection trials executed (trial-memo misses)", uint64(e.TrialRuns()))
 	return b.Snapshot()
 }
 

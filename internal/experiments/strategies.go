@@ -106,8 +106,9 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 	out.AreaOverheadPct = poolMM2 / main.Main.AreaMM2 * 100
 
 	// Phase 1: fault-free slowdown/energy runs, all in flight at once.
-	// The campaign phase bypasses the engine (private injectors), so
-	// kicking these off first keeps the pool busy throughout.
+	// The campaign phase runs its trials on its own workers (through the
+	// engine's trial memo, not its pool), so kicking these off first
+	// keeps the pool busy throughout.
 	type cleanRun struct {
 		base  *Future
 		strat map[string]*Future
@@ -125,7 +126,9 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 	// Phase 2: the paired campaigns. Same seed, same trial count, same
 	// workload pool, one config each: genTrial's per-trial rng draws the
 	// identical (fault, workload, checker) stream for every strategy, so
-	// trial i is the same experiment under all four protocols.
+	// trial i is the same experiment under all four protocols. The
+	// lockstep and divergent campaigns draw the divergent study's trials,
+	// so after that study the trial memo serves them without simulating.
 	mix := divergentMix()
 	for _, name := range order {
 		camp, err := fault.RunCampaign(fault.CampaignConfig{
@@ -135,12 +138,12 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 			Workloads: ws,
 			Configs:   []core.Config{cfgs[name]},
 			Mix:       &mix,
+			Memo:      e,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("strategy study, %s campaign: %w", name, err)
 		}
 		out.Campaigns[name] = camp
-		defaultEngine().RecordMetrics(camp.RunMetrics())
 	}
 
 	// Phase 3: collect the slowdown and energy tables.

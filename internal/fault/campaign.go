@@ -45,6 +45,22 @@ type CampaignConfig struct {
 	// a non-nil Mix is used exactly as given (an explicit zero fraction
 	// genuinely disables that fault type), so defaulting is unambiguous.
 	Mix *FaultMix
+	// Memo, when set, deduplicates trials across campaigns. Nil runs
+	// every trial.
+	Memo TrialMemo
+}
+
+// TrialMemo deduplicates identical trials across campaigns. A trial's
+// outcome is a function of its config template, its workload and its
+// (Seed, Fault, CheckerID) draw alone, so Trial may return the result of
+// an identical trial executed earlier (or concurrently) instead of
+// calling exec; it must call exec at most once per identical trial.
+// Every execution still builds its own private injector. RunCampaign
+// re-stamps the returned result with the trial's own Trial and
+// WorkloadName and keeps its Metrics shard, so a campaign's tables and
+// RunMetrics are the same with or without a memo.
+type TrialMemo interface {
+	Trial(template *core.Config, w *core.Workload, t Trial, exec func() (TrialResult, error)) (TrialResult, error)
 }
 
 // FaultMix is the categorical fault-type distribution one campaign draws
@@ -202,7 +218,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = runTrial(&cfg, trials[i])
+				results[i], errs[i] = cfg.trial(trials[i])
 			}
 		}()
 	}
@@ -325,6 +341,19 @@ func randomFU(rng *rand.Rand, fuCounts map[isa.Class]int) (isa.Class, int, int) 
 		units = 1
 	}
 	return class, units, rng.Intn(units)
+}
+
+// trial runs one trial, through the memo when the campaign has one.
+func (c *CampaignConfig) trial(t Trial) (TrialResult, error) {
+	if c.Memo == nil {
+		return runTrial(c, t)
+	}
+	w := &c.Workloads[t.Workload]
+	r, err := c.Memo.Trial(&c.Configs[t.Config], w, t, func() (TrialResult, error) {
+		return runTrial(c, t)
+	})
+	r.Trial, r.WorkloadName = t, w.Name
+	return r, err
 }
 
 func runTrial(cfg *CampaignConfig, t Trial) (TrialResult, error) {

@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"paraverser/internal/asm"
@@ -115,6 +117,70 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if reseeded.TrialTable() == serial.TrialTable() {
 		t.Error("different seeds produced identical campaigns")
+	}
+}
+
+// mapMemo is a TrialMemo keyed by the trial's draw and workload. It
+// stores every executed result with its Trial and WorkloadName
+// scrambled, so the campaign must re-stamp them on every return.
+type mapMemo struct {
+	mu    sync.Mutex
+	res   map[string]TrialResult
+	execs int
+}
+
+func (m *mapMemo) Trial(_ *core.Config, w *core.Workload, t Trial, exec func() (TrialResult, error)) (TrialResult, error) {
+	key := fmt.Sprintf("%s|%d|%v|%d|%d", w.Name, t.Seed, t.Fault, t.CheckerID, t.Config)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r, ok := m.res[key]; ok {
+		return r, nil
+	}
+	r, err := exec()
+	if err != nil {
+		return r, err
+	}
+	m.execs++
+	r.Trial, r.WorkloadName = Trial{Index: -1}, "scrambled"
+	m.res[key] = r
+	return r, nil
+}
+
+// TestCampaignMemoMatchesDirect pins the TrialMemo contract: a campaign
+// run through a memo renders the same tables and merged metrics as one
+// without, including trials the memo serves from an earlier campaign,
+// and the memo executes each identical trial once.
+func TestCampaignMemoMatchesDirect(t *testing.T) {
+	direct, err := RunCampaign(campaignConfig(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &mapMemo{res: map[string]TrialResult{}}
+	for _, trials := range []int{5, 8} {
+		cfg := campaignConfig(trials, 2)
+		cfg.Memo = memo
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if memo.execs != 8 {
+		t.Errorf("memo executed %d trials over campaigns of 5 and 8, want 8", memo.execs)
+	}
+	cfg := campaignConfig(8, 2)
+	cfg.Memo = memo
+	served, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memo.execs != 8 {
+		t.Errorf("a fully memoised campaign executed %d new trials, want 0", memo.execs-8)
+	}
+	if served.TrialTable() != direct.TrialTable() || served.Table() != direct.Table() {
+		t.Errorf("memoised campaign tables differ from direct:\n%s\nvs\n%s",
+			served.TrialTable(), direct.TrialTable())
+	}
+	if sm, dm := served.RunMetrics().String(), direct.RunMetrics().String(); sm != dm {
+		t.Errorf("memoised campaign metrics differ from direct:\n%s\nvs\n%s", sm, dm)
 	}
 }
 
