@@ -57,6 +57,7 @@ import (
 	"paraverser/internal/core"
 	"paraverser/internal/experiments"
 	"paraverser/internal/obs"
+	"paraverser/internal/workload/spec"
 )
 
 func main() {
@@ -146,7 +147,12 @@ func run(args []string) int {
 		sc.Warmup = *warmup
 	}
 	if *benches != "" {
-		sc.Benchmarks = strings.Split(*benches, ",")
+		names, err := parseBenchmarks(*benches)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "paraverser: -benchmarks: %v\n", err)
+			return 2
+		}
+		sc.Benchmarks = names
 	}
 	if *trials > 0 {
 		sc.FaultTrials = *trials
@@ -313,6 +319,26 @@ func run(args []string) int {
 		fmt.Printf("[%s completed in %v]\n\n", name, r.dur.Round(time.Millisecond))
 	}
 	return finish(0)
+}
+
+// parseBenchmarks splits the -benchmarks list and checks every element
+// names a SPEC benchmark, so a typo is a usage error (exit 2) for every
+// experiment, including those that never read the list.
+func parseBenchmarks(list string) ([]string, error) {
+	known := make(map[string]bool)
+	for _, n := range spec.Names() {
+		known[n] = true
+	}
+	names := strings.Split(list, ",")
+	for i, n := range names {
+		if n == "" {
+			return nil, fmt.Errorf("empty benchmark name at position %d of %q", i+1, list)
+		}
+		if !known[n] {
+			return nil, fmt.Errorf("unknown benchmark %q (known: %s)", n, strings.Join(spec.Names(), ", "))
+		}
+	}
+	return names, nil
 }
 
 // runMetricsCmd implements `paraverser metrics [-trace trace.json]

@@ -53,6 +53,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative -fuzz-insts", []string{"-fuzz-insts", "-200", "table1"}, 2},
 		{"unknown -strategy", []string{"-strategy", "bogus", "table1"}, 2},
 		{"divergent -strategy", []string{"-strategy", "divergent", "table1"}, 2},
+		{"unknown -benchmarks", []string{"-benchmarks", "nope", "campaign"}, 2},
+		{"empty -benchmarks element", []string{"-benchmarks", "mcf,,gcc", "fig6"}, 2},
 		// Valid edges: zero means "default" for the counts, and every
 		// named strategy the flag accepts must reach the experiment.
 		{"zero -j", []string{"-j", "0", "table1"}, 0},
@@ -61,6 +63,7 @@ func TestFlagValidation(t *testing.T) {
 		{"lockstep -strategy", []string{"-strategy", "lockstep", "table1"}, 0},
 		{"chunk-replay -strategy", []string{"-strategy", "chunk-replay", "table1"}, 0},
 		{"relaxed -strategy", []string{"-strategy", "relaxed", "table1"}, 0},
+		{"valid -benchmarks pair", []string{"-benchmarks", "mcf,gcc", "table1"}, 0},
 	}
 	for _, tc := range cases {
 		if code := run(tc.args); code != tc.want {

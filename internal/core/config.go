@@ -288,6 +288,24 @@ type Config struct {
 	// (re-replay, forensics, maintenance tracking, quarantine).
 	Recovery RecoveryConfig
 
+	// HaltOnDetection finishes every lane at the first protocol point
+	// after a detection is recorded: the synchronous dispatch that
+	// detected (after its recovery pass) or the pipelined join that
+	// merged it. It is for verdict-only consumers, which read whether
+	// and when a fault was first caught and nothing after it. A halted
+	// run reports exactly what the full-horizon run would for:
+	//   - Detections >= 1 and the detecting lane's FirstDetectionInst;
+	//   - the first recovery event (its verdict) of that detection.
+	// Everything that accrues after the first detection is partial:
+	// Detections beyond the first, re-replays and later recovery
+	// events, probation shadow checks, quarantine state, degraded
+	// time, injector fire counters, timing and the metrics shard,
+	// which counts only the work actually executed. Lanes that had
+	// not detected when the run halted report no detection. Hashed
+	// into the run-cache fingerprint, so a halted run never stands in
+	// for a full-horizon one.
+	HaltOnDetection bool
+
 	// Seed randomises the workload's non-repeatable instruction streams.
 	Seed uint64
 

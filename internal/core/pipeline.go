@@ -350,6 +350,9 @@ func (s *System) joinCheck(ck *Checker) {
 			}
 			l.res.SampleMismatches = append(l.res.SampleMismatches, mm...)
 		}
+		if s.cfg.HaltOnDetection {
+			s.halted = true
+		}
 	}
 
 	// Return the log arenas to the lane for reuse.

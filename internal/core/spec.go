@@ -388,7 +388,9 @@ func (sp *laneSpec) seal(start, end emu.ArchState) {
 // synchronously; divergent mode keeps a private memory image in
 // lockstep with verification; multi-hart processes interleave through
 // shared memory under timing control; and a checked replay synthesises
-// clean verdicts, which needs the pipelined dispatch path. Boundary
+// clean verdicts, which needs the pipelined dispatch path. A
+// HaltOnDetection run may stop short of the stream's end, so it
+// neither records nor replays. Boundary
 // shape does NOT matter for replay — the live runSegment loop re-cuts
 // boundaries over the cursor, so opportunistic mode, sampling and
 // non-uniform pool capacities all replay fine.
@@ -400,7 +402,7 @@ func (sp *laneSpec) seal(start, end emu.ArchState) {
 // stay because widening them changes which runs hit the cache.
 func (s *System) laneSpecEligible(l *lane) (replay, record bool) {
 	if s.cfg.MainInterceptor != nil || s.cfg.CheckerInterceptor != nil ||
-		s.cfg.Recovery.Enabled {
+		s.cfg.Recovery.Enabled || s.cfg.HaltOnDetection {
 		return false, false
 	}
 	if len(l.proc.mach.Harts) != 1 || l.div != nil {

@@ -61,6 +61,11 @@ type System struct {
 	// per-instruction loops.
 	blockExec bool
 
+	// halted is set, under cfg.HaltOnDetection, at the protocol point
+	// that records a detection; every lane then finishes at its next
+	// runSegment.
+	halted bool
+
 	llcExtraSum float64
 	llcExtraN   uint64
 
@@ -267,9 +272,10 @@ func NewSystem(cfg Config, workloads []Workload) (*System, error) {
 
 	laneIdx := 0
 	for _, w := range workloads {
-		// The shared image cache materialises each program's data segment
-		// once per process; every machine gets a private copy-on-write
-		// view, so per-run setup is O(pages touched), not O(data bytes).
+		// Each program's data segment is materialised once, into an
+		// image kept on the program (emu.Image); every machine gets a
+		// private copy-on-write view, so per-run setup is O(pages
+		// touched), not O(data bytes).
 		mach, err := emu.NewMachineShared(w.Prog, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: workload %q: %w", w.Name, err)
@@ -467,7 +473,7 @@ func (s *System) runSegment(l *lane) error {
 	if budget > 0 {
 		budget += l.proc.w.WarmupInsts
 	}
-	if hart.Halted || (budget > 0 && l.executed >= budget) {
+	if s.halted || hart.Halted || (budget > 0 && l.executed >= budget) {
 		s.finishLane(l)
 		return nil
 	}
@@ -972,6 +978,9 @@ func (s *System) dispatch(l *lane, ck *Checker, seg *Segment) {
 			s.retainProbationSeg(l, seg)
 			s.shadowCheck(l, seg, doneNS)
 		}
+	}
+	if res.Detected() && s.cfg.HaltOnDetection {
+		s.halted = true
 	}
 }
 

@@ -2,7 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"sync"
 
 	"paraverser/internal/isa"
 )
@@ -53,17 +52,13 @@ func NewMemoryFromSnapshot(s *MemSnapshot) *Memory {
 	return m
 }
 
-// imageCache memoises one initial-memory snapshot per program pointer.
-// Programs are immutable once built (the experiment layer guarantees one
-// canonical *isa.Program per workload name), so the data segment needs
-// materialising once per process instead of once per run — SPEC working
-// sets run to tens of megabytes. Publication through sync.Map gives the
-// cross-goroutine happens-before edge; a duplicate build under a race
-// produces identical bytes and one winner.
-var imageCache sync.Map // *isa.Program -> *MemSnapshot
-
 // Image returns the program's materialised initial memory as a shared
-// copy-on-write snapshot.
+// copy-on-write snapshot. It is built once per program and kept on the
+// program itself (isa.Program.Image): programs are immutable once built
+// (the experiment layer guarantees one canonical *isa.Program per
+// workload name), so the data segment is materialised once instead of
+// once per run — SPEC working sets run to tens of megabytes — and is
+// released with the program.
 //
 // The image aliases prog.Data instead of copying it: every whole 4 KiB
 // page of the (page-aligned) data segment is a view into the program's
@@ -72,9 +67,10 @@ var imageCache sync.Map // *isa.Program -> *MemSnapshot
 // through the alias, and the data segment is held in memory once rather
 // than twice.
 func Image(prog *isa.Program) *MemSnapshot {
-	if v, ok := imageCache.Load(prog); ok {
-		return v.(*MemSnapshot)
-	}
+	return prog.Image(func() any { return buildImage(prog) }).(*MemSnapshot)
+}
+
+func buildImage(prog *isa.Program) *MemSnapshot {
 	mem := NewMemory()
 	base, data := prog.DataBase, prog.Data
 	if base&(pageSize-1) == 0 {
@@ -85,13 +81,11 @@ func Image(prog *isa.Program) *MemSnapshot {
 		}
 	}
 	mem.WriteBytes(base, data)
-	snap := mem.Snapshot()
-	v, _ := imageCache.LoadOrStore(prog, snap)
-	return v.(*MemSnapshot)
+	return mem.Snapshot()
 }
 
 // NewMachineShared is NewMachine with the program's initial memory
-// served from the process-wide image cache: the data segment is shared
+// served from its cached image (Image): the data segment is shared
 // copy-on-write instead of re-copied per run.
 func NewMachineShared(prog *isa.Program, seed uint64) (*Machine, error) {
 	if err := prog.Validate(); err != nil {

@@ -3,6 +3,7 @@ package emu
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 
 	"paraverser/internal/asm"
@@ -83,7 +84,7 @@ func runToEnd(t *testing.T, m *Machine, prog *isa.Program) uint64 {
 	return got
 }
 
-// TestMachineSharedMatchesPrivate: a machine over the shared image cache
+// TestMachineSharedMatchesPrivate: a machine over the program's shared image
 // must execute identically to one with a privately materialised data
 // segment, and two shared machines must not observe each other's stores.
 func TestMachineSharedMatchesPrivate(t *testing.T) {
@@ -171,6 +172,45 @@ func TestImageAliasesProgramDataReadOnly(t *testing.T) {
 		want := binary.LittleEndian.Uint64(orig[off:])
 		if got, _ := m2.Mem.Load(a, 8); got != want {
 			t.Errorf("second machine sees %#x at %#x, want the initial %#x", got, a, want)
+		}
+	}
+}
+
+// TestImageSharedAcrossGoroutines: concurrent first uses of a program's
+// image must all receive the one image stored on the program, and every
+// machine built from it must start from the program's initial data.
+func TestImageSharedAcrossGoroutines(t *testing.T) {
+	prog := buildSum(50)
+	const n = 8
+	imgs := make([]*MemSnapshot, n)
+	vals := make([]uint64, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			imgs[i] = Image(prog)
+			m, err := NewMachineShared(prog, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			vals[i], _ = m.Mem.Load(prog.DataBase, 8)
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if imgs[i] != imgs[0] {
+			t.Fatalf("goroutine %d got a different image than goroutine 0", i)
+		}
+	}
+	if imgs[0] != Image(prog) {
+		t.Error("a later Image call rebuilt the program's image")
+	}
+	want := binary.LittleEndian.Uint64(prog.Data)
+	for i, v := range vals {
+		if v != want {
+			t.Errorf("machine %d starts with %#x at the data base, want %#x", i, v, want)
 		}
 	}
 }

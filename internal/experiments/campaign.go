@@ -13,6 +13,10 @@ import (
 // scale-appropriate default; the base seed makes the verdict tables
 // reproducible regardless of workers.
 func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult, error) {
+	return campaign(defaultEngine(), sc, seed, trials, workers)
+}
+
+func campaign(e *Engine, sc Scale, seed int64, trials, workers int) (*fault.CampaignResult, error) {
 	if trials <= 0 {
 		trials = 4 * sc.FaultTrials
 	}
@@ -27,6 +31,24 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 		})
 	}
 
+	// Trials run through the engine's trial memo, which also records
+	// each executed trial's metrics shard for the export.
+	return fault.RunCampaign(fault.CampaignConfig{
+		Seed:      seed,
+		Trials:    trials,
+		Workers:   workers,
+		Workloads: workloads,
+		Configs:   campaignConfigs(),
+		Memo:      e,
+	})
+}
+
+// campaignConfigs returns the campaign's full-coverage and opportunistic
+// trial templates. They run every trial to the full horizon
+// (HaltOnDetection stays off): the campaign table reads re-replays,
+// probation shadow checks, pool state and degraded time, all of which
+// accrue after the first detection.
+func campaignConfigs() []core.Config {
 	full := core.DefaultConfig(a510Spec(4, 2.0))
 	full.Recovery = core.DefaultRecovery()
 	opp := core.DefaultConfig(a510Spec(2, 2.0))
@@ -39,15 +61,5 @@ func Campaign(sc Scale, seed int64, trials, workers int) (*fault.CampaignResult,
 	applyTrace(&full)
 	applyCheckWorkers(&opp)
 	applyTrace(&opp)
-
-	// Trials run through the engine's trial memo, which also records
-	// each executed trial's metrics shard for the export.
-	return fault.RunCampaign(fault.CampaignConfig{
-		Seed:      seed,
-		Trials:    trials,
-		Workers:   workers,
-		Workloads: workloads,
-		Configs:   []core.Config{full, opp},
-		Memo:      defaultEngine(),
-	})
+	return []core.Config{full, opp}
 }

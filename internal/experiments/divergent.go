@@ -138,7 +138,10 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 	// workload pool, one config each: genTrial's per-trial rng draws the
 	// identical (fault, workload, checker) stream for both, so trial i
 	// is the same experiment under the two check modes. The strategies
-	// study draws the same trials, and the trial memo shares them.
+	// study draws the same trials, and the trial memo shares them. The
+	// tables read only each trial's outcome, so trials halt at their
+	// first detection (verdictOnly); the slowdown runs above keep the
+	// plain templates and share run-cache entries.
 	mix := divergentMix()
 	run := func(cfg core.Config) (*fault.CampaignResult, error) {
 		return fault.RunCampaign(fault.CampaignConfig{
@@ -146,7 +149,7 @@ func divergentStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Dive
 			Trials:    trials,
 			Workers:   workers,
 			Workloads: ws,
-			Configs:   []core.Config{cfg},
+			Configs:   []core.Config{e.verdictOnly(cfg)},
 			Mix:       &mix,
 			Memo:      e,
 		})

@@ -39,6 +39,10 @@ func fig8Configs() []NamedConfig {
 	}
 }
 
+// fig8GroundTruth is the full-coverage system whose detections are
+// fig. 8's detectability ground truth.
+func fig8GroundTruth() core.Config { return core.DefaultConfig(x2Spec(1, 3.0)) }
+
 // withFault returns a copy of cfg that injects f on checker 0 of every
 // lane, with a fresh injector (so fire counters are per-run).
 func withFault(cfg core.Config, f fault.Fault) (core.Config, *fault.Injector, error) {
@@ -57,13 +61,16 @@ func withFault(cfg core.Config, f fault.Fault) (core.Config, *fault.Injector, er
 
 // submitFault schedules one injected run of bench over the engine's
 // pool. Interceptor configs are never cached, so each submission keeps
-// its private injector and fire counters.
+// its private injector and fire counters. Fig. 8 reads only whether
+// each run detected and where it first did, so the run halts at its
+// first detection (verdictOnly); an undetected run, the only kind whose
+// injector counters Classify reads, still covers the whole horizon.
 func submitFault(e *Engine, cfg core.Config, bench string, f fault.Fault, horizon int64) (*Future, *fault.Injector, error) {
 	prog, err := specProg(bench)
 	if err != nil {
 		return nil, nil, err
 	}
-	fcfg, inj, err := withFault(cfg, f)
+	fcfg, inj, err := withFault(e.verdictOnly(cfg), f)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,7 +101,7 @@ func fig8(e *Engine, sc Scale) (*Fig8Result, error) {
 		out.Coverage.Values[nc.Label] = make(map[string]float64)
 	}
 
-	fullCfg := core.DefaultConfig(x2Spec(1, 3.0)) // ground truth: full coverage
+	fullCfg := fig8GroundTruth()
 	faults := fault.Campaign(99, sc.FaultTrials, fuCounts())
 
 	// Phase 1: ground-truth full-coverage runs for every (benchmark,

@@ -83,6 +83,7 @@ var fingerprintedConfigFields = map[string]bool{
 	"CheckerInterceptor": true,
 	"MainInterceptor":    true,
 	"Recovery":           true,
+	"HaltOnDetection":    true,
 	"Seed":               true,
 	// Trace is observability only (segment trace ring): it never changes
 	// simulated outcomes, and hashing the pointer would needlessly split
@@ -177,6 +178,9 @@ func writeConfig(w io.Writer, cfg *core.Config) {
 	// 20-22: recovery policy and workload seed. Recovery.Quarantine rides
 	// along inside %+v.
 	fmt.Fprintf(w, "recovery=%+v seed=%v\n", cfg.Recovery, cfg.Seed)
+	// 23: verdict-only halting truncates the run after its first
+	// detection, so a halted run must never stand in for a full one.
+	fmt.Fprintf(w, "halt=%v\n", cfg.HaltOnDetection)
 	// CheckWorkers, Spec, BlockExec and Trace are deliberately NOT
 	// hashed; see the fingerprintedConfigFields table for the rationale.
 }

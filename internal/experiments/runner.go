@@ -56,6 +56,11 @@ type Engine struct {
 	trials     map[trialKey]*trialCall
 	trialCalls []*trialCall
 
+	// fullHorizon, set only by tests, runs verdict-only injections to
+	// the full horizon (verdictOnly leaves HaltOnDetection off): the
+	// reference the halting invariance test compares against.
+	fullHorizon bool
+
 	runs      atomic.Int64 // simulations actually executed
 	trialRuns atomic.Int64 // fault-injection trials actually executed
 	hits      atomic.Int64 // submissions served by cache or singleflight
@@ -376,6 +381,19 @@ func (e *Engine) applySpec(cfg *core.Config) {
 	if cfg.Spec == nil {
 		cfg.Spec = e.spec
 	}
+}
+
+// verdictOnly returns cfg set to halt at its first detection
+// (core.Config.HaltOnDetection), for injected runs whose consumer reads
+// only whether and where each fault was first caught: fig. 8's injected
+// runs and the trial templates of the divergent and strategies studies.
+// Both facts are exact under halting, and a run that never detects
+// still covers the whole horizon. Fault-free runs and the campaign
+// experiment, whose table reads what accrues after the first detection,
+// never pass through here.
+func (e *Engine) verdictOnly(cfg core.Config) core.Config {
+	cfg.HaltOnDetection = !e.fullHorizon
+	return cfg
 }
 
 // processStrategy is the verification strategy applied to submitted

@@ -129,6 +129,8 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 	// trial i is the same experiment under all four protocols. The
 	// lockstep and divergent campaigns draw the divergent study's trials,
 	// so after that study the trial memo serves them without simulating.
+	// The table reads only outcomes and first-detection instructions, so
+	// trials halt at their first detection (verdictOnly).
 	mix := divergentMix()
 	for _, name := range order {
 		camp, err := fault.RunCampaign(fault.CampaignConfig{
@@ -136,7 +138,7 @@ func strategyStudy(e *Engine, sc Scale, seed int64, trials, workers int) (*Strat
 			Trials:    trials,
 			Workers:   workers,
 			Workloads: ws,
-			Configs:   []core.Config{cfgs[name]},
+			Configs:   []core.Config{e.verdictOnly(cfgs[name])},
 			Mix:       &mix,
 			Memo:      e,
 		})

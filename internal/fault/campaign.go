@@ -158,6 +158,14 @@ type Trial struct {
 }
 
 // TrialResult is one finished trial.
+//
+// A trial whose config template sets core.Config.HaltOnDetection stops
+// at its first detection. For such a trial Outcome, DetectionInst,
+// Verdict, Fault, CheckerID and WorkloadName are complete (exactly the
+// full-horizon values); Recovery, Quarantined, Retired, DegradedNS,
+// Detections, Fires, Activations and Metrics are partial, covering only
+// the work up to the halt. A trial that never detects never halts, so
+// all of its fields are complete.
 type TrialResult struct {
 	Trial
 	// WorkloadName labels the sampled program.

@@ -220,6 +220,26 @@ type Program struct {
 	dec atomic.Pointer[[]DecInst]
 	// blocks is the lazily built basic-block table (see Blocks).
 	blocks atomic.Pointer[BlockTable]
+	// image is the emulator's lazily built initial-memory image (see
+	// Image), released together with the program.
+	image atomic.Pointer[any]
+}
+
+// Image returns the program's initial-memory image, calling build to
+// make it on first use. The image is the emulator's (emu.Image) and is
+// opaque here, because that package imports this one. Safe for
+// concurrent use: racing builders produce equivalent images, and the
+// first one stored wins, so every caller shares one. Data must not be
+// mutated after the first call.
+func (p *Program) Image(build func() any) any {
+	if v := p.image.Load(); v != nil {
+		return *v
+	}
+	v := build()
+	if p.image.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return *p.image.Load()
 }
 
 // InstBytes is the encoded size of one instruction, used for instruction
